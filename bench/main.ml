@@ -818,164 +818,6 @@ let fanout_fig ~full =
       "subscription-path overhead vs bare dispatch (20 subscribers): %.2f%%\n%!"
       pct
 
-(* --- scaling: the multicore firing pipeline (PR 7) ---
-
-   Not a paper figure: it sizes the domain pool.  1000 SQL triggers (20
-   satisfied) and 1000 subscribers watch the hot top-level element; the
-   subscribers are spread over four structurally distinct WHERE shapes, so
-   GROUPED forms four trigger groups whose delta queries run in parallel
-   on the pool, and each group's ~250-member fan-out is sharded across
-   domains too.  At domains > 1 the hub's writer domain takes the sink I/O
-   off the firing thread; [drain_writer] before the stop timestamp keeps
-   the measured window honest.  Reported as trigger firings (dispatched
-   members) per second vs the domain count, COALESCE on and off;
-   [parallel_speedup] is the 4-domain / 1-domain ratio on the COALESCE-off
-   series and is gated (>= 1.5x on 4-vCPU CI runners). *)
-
-let scaling_batch = 5
-
-let scaling_run p ~domains ~subs ~triggers ~satisfied ~coalesce ~rounds =
-  let built = Workloadlib.Workload.build p in
-  let tuning = { Runtime.default_tuning with Runtime.domains } in
-  let mgr = Runtime.create ~strategy:Runtime.Grouped ~tuning built.Workloadlib.Workload.db in
-  Runtime.define_view mgr ~name:"doc" built.Workloadlib.Workload.view_text;
-  (* parallel-safe stand-in for the shared [record] action: member shards
-     may bump it concurrently *)
-  let recorded = Atomic.make 0 in
-  Runtime.register_action ~parallel_safe:true mgr ~name:"record"
-    (fun _ -> Atomic.incr recorded);
-  Workloadlib.Workload.install_triggers mgr
-    { p with Workloadlib.Workload.num_triggers = triggers; num_satisfied = satisfied }
-    ~target_name:built.Workloadlib.Workload.top_names.(0);
-  let hub = Subscribe.attach mgr in
-  let delivered = Atomic.make 0 in
-  Subscribe.add_callback hub (fun _ -> Atomic.incr delivered);
-  if domains > 1 then Subscribe.start_writer hub;
-  let target = built.Workloadlib.Workload.top_names.(0) in
-  let e2 = Workloadlib.Workload.elem_name 2 in
-  (* four condition families = four GROUPED trigger groups; the extra
-     conjuncts are vacuously true, so every subscriber fires per update *)
-  for i = 0 to subs - 1 do
-    let conjuncts =
-      List.init (i mod 4) (fun _ -> Printf.sprintf " and count(NEW_NODE/%s) >= 0" e2)
-    in
-    Subscribe.subscribe hub
-      (Printf.sprintf
-         "scale%d AFTER UPDATE ON view('doc')/e1 WHERE NEW_NODE/@name = '%s'%s \
-          QUEUE 8192 OVERFLOW drop-oldest COALESCE %s"
-         i target
-         (String.concat "" conjuncts)
-         (if coalesce then "on" else "off"))
-  done;
-  (* warm-up window: fault in plans, shards, pool workers *)
-  for step = 0 to scaling_batch - 1 do
-    Workloadlib.Workload.update_leaf built ~top_index:0 ~step
-  done;
-  ignore (Subscribe.flush hub);
-  Subscribe.drain_writer hub;
-  Runtime.reset_stats mgr;
-  Atomic.set delivered 0;
-  let w0 = Monotonic_clock.now () in
-  let c0 = Sys.time () in
-  for r = 0 to rounds - 1 do
-    for b = 0 to scaling_batch - 1 do
-      Workloadlib.Workload.update_leaf built ~top_index:0
-        ~step:(scaling_batch + (r * scaling_batch) + b)
-    done;
-    ignore (Subscribe.flush hub)
-  done;
-  Subscribe.drain_writer hub;
-  let c1 = Sys.time () in
-  let w1 = Monotonic_clock.now () in
-  Subscribe.stop_writer hub;
-  let wall_ms = Int64.to_float (Int64.sub w1 w0) /. 1e6 in
-  let updates = float_of_int (rounds * scaling_batch) in
-  let firings = (Runtime.stats mgr).Runtime.actions_dispatched in
-  let per_sec n =
-    if wall_ms > 0.0 then float_of_int n /. (wall_ms /. 1000.0) else Float.nan
-  in
-  ( { wall_ms = wall_ms /. updates; cpu_ms = (c1 -. c0) *. 1000.0 /. updates },
-    per_sec firings,
-    per_sec (Atomic.get delivered) )
-
-let scaling_fig ~full =
-  let p =
-    { Workloadlib.Workload.quick_defaults with
-      Workloadlib.Workload.leaf_tuples = (if full then 8_000 else 2_000);
-      fanout = 16;
-      num_triggers = 0;
-      num_satisfied = 0;
-    }
-  in
-  let subs = 1_000 and triggers = 1_000 and satisfied = 20 in
-  let rounds = if full then 8 else 4 in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  print_header_s
-    (Printf.sprintf
-       "scaling: domains vs avg time per update (wall/cpu ms; %d triggers, %d \
-        subscribers, %d updates per flush window)"
-       triggers subs scaling_batch)
-    [ "#domains"; "COALESCE-off"; "COALESCE-on" ];
-  let rates = ref [] in
-  List.iter
-    (fun domains ->
-      let row = string_of_int domains in
-      let s_off, fps_off, dps_off =
-        scaling_run p ~domains ~subs ~triggers ~satisfied ~coalesce:false ~rounds
-      in
-      let s_on, fps_on, dps_on =
-        scaling_run p ~domains ~subs ~triggers ~satisfied ~coalesce:true ~rounds
-      in
-      ignore (record ~fig:"scaling" ~row ~series:"coalesce-off" s_off);
-      ignore (record ~fig:"scaling" ~row ~series:"coalesce-on" s_on);
-      rates := (domains, fps_off, dps_off, fps_on, dps_on) :: !rates;
-      print_row_s row [ s_off; s_on ];
-      Printf.printf
-        "             firings/s: off=%.0f on=%.0f   delivered/s: off=%.0f on=%.0f\n%!"
-        fps_off fps_on dps_off dps_on)
-    domain_counts;
-  let rates = List.rev !rates in
-  let rate_at d =
-    List.find_map
-      (fun (d', fps, _, _, _) ->
-        if d = d' && not (Float.is_nan fps) then Some fps else None)
-      rates
-  in
-  let speedup =
-    match rate_at 1, rate_at 4 with
-    | Some r1, Some r4 when r1 > 0.0 -> r4 /. r1
-    | _ -> Float.nan
-  in
-  if not (Float.is_nan speedup) then
-    Printf.printf "parallel speedup (4 domains vs 1, COALESCE off): %.2fx\n%!" speedup;
-  if !json_requested then begin
-    let oc = open_out "BENCH_7.json" in
-    let series =
-      String.concat ",\n"
-        (List.map
-           (fun (d, fps_off, dps_off, fps_on, dps_on) ->
-             Printf.sprintf
-               "    {\"domains\": %d, \"firings_per_sec_off\": %s, \
-                \"delivered_per_sec_off\": %s, \"firings_per_sec_on\": %s, \
-                \"delivered_per_sec_on\": %s}"
-               d (json_float fps_off) (json_float dps_off) (json_float fps_on)
-               (json_float dps_on))
-           rates)
-    in
-    Printf.fprintf oc
-      "{\n\
-      \  \"mode\": \"%s\",\n\
-      \  \"triggers\": %d,\n\
-      \  \"subscribers\": %d,\n\
-      \  \"parallel_speedup\": %s,\n\
-      \  \"series\": [\n%s\n  ]\n\
-       }\n"
-      (if full then "full" else "quick")
-      triggers subs (json_float speedup) series;
-    close_out oc;
-    Printf.printf "wrote BENCH_7.json\n"
-  end
-
 (* --- PR 8 figure: static query–update independence --- *)
 
 (* N triggers each watch a distinct region through a constant path predicate
@@ -1597,8 +1439,8 @@ let () =
     | Some s -> String.split_on_char ',' s
     | None ->
       [ "17"; "18"; "22"; "23"; "24"; "compile"; "ablation"; "recovery";
-        "phases"; "overhead"; "fanout"; "view_update"; "scaling";
-        "independence"; "advisor"; "http" ]
+        "phases"; "overhead"; "fanout"; "view_update"; "independence";
+        "advisor"; "http" ]
   in
   Printf.printf
     "Triggers over XML Views of Relational Data — benchmark harness (%s mode)\n"
@@ -1620,7 +1462,6 @@ let () =
         | "overhead" -> overhead ~full
         | "fanout" -> fanout_fig ~full
         | "view_update" -> view_update_fig ~full
-        | "scaling" -> scaling_fig ~full
         | "independence" -> independence_fig ~full
         | "advisor" -> advisor_fig ~full
         | "http" -> http_fig ~full

@@ -134,12 +134,9 @@ let notify_action fi =
     (fun n -> Printf.printf "  NEW: %s\n" (Xmlkit.Xml.to_string n))
     fi.Runtime.fi_new
 
-let run strategy script data_dir trace audit socket http domains no_independence =
+let run strategy script data_dir trace audit socket http no_independence =
   let tuning =
-    { Runtime.default_tuning with
-      Runtime.domains;
-      independence = not no_independence;
-    }
+    { Runtime.default_tuning with Runtime.independence = not no_independence }
   in
   let mgr, recovered_meta =
     match data_dir with
@@ -197,8 +194,6 @@ let run strategy script data_dir trace audit socket http domains no_independence
     Printf.printf "http server listening on http://127.0.0.1:%d\n" (Api.port a)
   in
   Option.iter start_http http;
-  (* at domains > 1 sink I/O moves off the firing thread too *)
-  if domains > 1 then Hub.start_writer hub;
   (* pump the socket/HTTP event loops until they go idle (bounded) *)
   let pump ms =
     let step_once tmo =
@@ -218,7 +213,6 @@ let run strategy script data_dir trace audit socket http domains no_independence
   in
   let flush_now ~verbose () =
     let n = Hub.flush hub in
-    Hub.drain_writer hub;  (* callback echo / socket bytes before the pump *)
     pump 50;
     if verbose || n > 0 then Printf.printf "%d notification(s) delivered\n" n
   in
@@ -403,7 +397,7 @@ let run strategy script data_dir trace audit socket http domains no_independence
      appended so far durable *)
   if Hub.subscription_names hub <> [] then flush_now ~verbose:false ();
   let srv = Hub.server hub in
-  Hub.close_sinks hub;  (* stops the writer domain before closing channels *)
+  Hub.close_sinks hub;
   Option.iter Server.stop srv;
   Option.iter Api.stop !api;
   Runtime.durability_sync mgr;
@@ -475,18 +469,6 @@ let http_arg =
            subscription feeds and the Prometheus $(b,/metrics) surface.  \
            Port 0 picks an ephemeral port (printed at startup).")
 
-let domains_arg =
-  Arg.(
-    value
-    & opt int Runtime.default_tuning.Runtime.domains
-    & info [ "domains" ]
-        ~doc:
-          "Number of OCaml domains for trigger firing: independent trigger \
-           groups' delta queries run in parallel, large subscriber fan-outs \
-           are sharded, and sink I/O moves to a dedicated writer domain.  \
-           1 (the default) is the sequential path; results are identical at \
-           any value.  Also settable via TRIGVIEW_DOMAINS.")
-
 let no_independence_arg =
   Arg.(
     value & flag
@@ -505,6 +487,6 @@ let cmd =
     (Cmd.info "trigview" ~doc:"Triggers over XML views of relational data — interactive shell")
     Term.(
       const run $ strategy_arg $ script_arg $ data_dir_arg $ trace_arg
-      $ audit_arg $ socket_arg $ http_arg $ domains_arg $ no_independence_arg)
+      $ audit_arg $ socket_arg $ http_arg $ no_independence_arg)
 
 let () = exit (Cmd.eval cmd)

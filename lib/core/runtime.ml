@@ -72,7 +72,6 @@ type tuning = {
       (* derive static relevance signatures at arm time and let the firing
          path prune provably independent statements; off = every bucket hit
          fires (the pre-independence behaviour) *)
-  domains : int;
   window_buckets : int;
       (* sliding-window ring geometry for the observatory: number of
          time buckets ... *)
@@ -85,23 +84,11 @@ type tuning = {
          disables deadlines *)
 }
 
-(* [domains] defaults from TRIGVIEW_DOMAINS so an unmodified test suite can
-   be re-run under the parallel engine (CI does, at 4); absent or invalid
-   means 1 = the sequential path. *)
 let default_tuning =
-  let domains =
-    match Sys.getenv_opt "TRIGVIEW_DOMAINS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | _ -> 1)
-    | None -> 1
-  in
   { push_affected_keys = true;
     share_subplans = true;
     compile_plans = true;
     independence = true;
-    domains;
     window_buckets = Obs.Knobs.window_buckets ();
     window_width_ms = Obs.Knobs.window_width_ms ();
     request_deadline_ms = Obs.Knobs.request_deadline_ms ();
@@ -167,12 +154,7 @@ and t = {
   strat : strategy;
   tuning : tuning;
   mutable views : (string * Compile.view) list;
-  mutable actions : (string * (action * bool)) list;
-      (* name -> (callback, parallel_safe): the flag asserts the callback
-         may run on a pool domain concurrently with other members'
-         callbacks (it must only touch domain-safe state, e.g. the
-         subscription hub's mutex-guarded queues or atomics) *)
-  pool : Pool.t;  (* shared domain pool; size 1 = strictly sequential *)
+  mutable actions : (string * action) list;  (* name -> callback *)
   mutable groups : group list;
   mutable trigger_index : (string * group) list;  (* trigger name -> group *)
   (* Materialized baseline: one snapshot per (view, path) *)
@@ -206,8 +188,8 @@ and t = {
          first, exported into the Chrome trace *)
   mutable last_cache_hits : int;
   mutable last_cache_misses : int;
-      (* build-cache totals at the last firing continuation, so the
-         sequential continuation can attribute windowed cache deltas *)
+      (* build-cache totals at the end of the last firing, so each firing
+         can attribute windowed cache deltas *)
 }
 
 (* Compiled plan templates, shared across groups of this manager with the
@@ -222,13 +204,6 @@ and template_plans = {
 }
 
 let create ?(strategy = Grouped_agg) ?(tuning = default_tuning) db =
-  let pool = Pool.get ~domains:tuning.domains in
-  (* The runner freezes all tables (single-writer snapshot) and runs the
-     statement's prepare thunks on the pool; continuations come back in
-     submission order and the firing path executes them sequentially. *)
-  if Pool.size pool > 1 then
-    Database.set_parallel_runner db
-      (Some (fun thunks -> Database.with_shared_reads db (fun () -> Pool.run_list pool thunks)));
   (* Apply window-geometry overrides before any traffic; leave the window
      alone when the tuning matches, so totals survive re-creation. *)
   let w = Database.window db in
@@ -243,7 +218,6 @@ let create ?(strategy = Grouped_agg) ?(tuning = default_tuning) db =
     tuning;
     views = [];
     actions = [];
-    pool;
     groups = [];
     trigger_index = [];
     snapshots = [];
@@ -363,8 +337,8 @@ let define_view t ~name text =
 
 let find_view t name = List.assoc_opt name t.views
 
-let register_action ?(parallel_safe = false) t ~name action =
-  t.actions <- (name, (action, parallel_safe)) :: List.remove_assoc name t.actions
+let register_action t ~name action =
+  t.actions <- (name, action) :: List.remove_assoc name t.actions
 
 let trigger_names t = List.map fst t.trigger_index
 let sql_trigger_count t = Database.trigger_count t.db
@@ -599,11 +573,6 @@ let audit_action (r : Obs.Audit.record) m ~outcome ~old_node ~new_node =
     }
     :: r.Obs.Audit.actions
 
-(* Fan a dispatch's member sweep out across the pool only when it is worth
-   a batch handoff: the per-member work (condition + args + callback) is a
-   few µs, so small member lists stay inline. *)
-let parallel_dispatch_threshold = 16
-
 let dispatch ?audit ?(stmt_id = 0) t group ~trig_ids ~old_node ~new_node =
   let members =
     match List.assoc_opt trig_ids group.g_members with
@@ -611,96 +580,47 @@ let dispatch ?audit ?(stmt_id = 0) t group ~trig_ids ~old_node ~new_node =
     | None -> []
   in
   let audit_id = match audit with Some r -> r.Obs.Audit.id | None -> 0 in
-  (* [bump] abstracts the dispatched counter so the parallel path can count
-     into shard-local cells and merge deterministically afterwards. *)
-  let dispatch_one ~bump m =
-    let t0 = Obs.Trace.now () in
-    let passes =
-      match m.m_fallback_cond with
-      | None -> true
-      | Some cond -> Compose.condition_fallback cond ~old_node ~new_node
-    in
-    let callback =
-      if passes then
-        Option.map fst (List.assoc_opt m.m_trigger.Trigger.action t.actions)
-      else None
-    in
-    (match audit with
-    | Some r ->
-      let outcome =
-        if not passes then Obs.Audit.Condition_rejected
-        else if Option.is_none callback then Obs.Audit.No_action
-        else Obs.Audit.Fired
+  List.iter
+    (fun m ->
+      let t0 = Obs.Trace.now () in
+      let passes =
+        match m.m_fallback_cond with
+        | None -> true
+        | Some cond -> Compose.condition_fallback cond ~old_node ~new_node
       in
-      audit_action r m ~outcome ~old_node ~new_node
-    | None -> ());
-    if passes then begin
-      bump ();
-      (match callback with
-      | Some action ->
-        action
-          { fi_trigger = m.m_trigger.Trigger.name;
-            fi_event = group.g_event;
-            fi_old = old_node;
-            fi_new = new_node;
-            fi_args = List.map (eval_arg ~old_node ~new_node) m.m_args;
-            fi_audit_id = audit_id;
-            fi_stmt_id = stmt_id;
-          }
-      | None -> ())
-    end;
-    let dt = Int64.sub (Obs.Trace.now ()) t0 in
-    Obs.Metrics.observe_in t.histograms m.m_trigger.Trigger.name dt;
-    let tracer = Database.tracer t.db in
-    if Obs.Trace.enabled tracer then
-      Obs.Trace.finish_note tracer t0 "dispatch" m.m_trigger.Trigger.name
-  in
-  let pool_size = Pool.size t.pool in
-  let parallel_ok =
-    pool_size > 1 && audit = None
-    && List.length members >= parallel_dispatch_threshold
-    && List.for_all
-         (fun m ->
-           match List.assoc_opt m.m_trigger.Trigger.action t.actions with
-           | Some (_, parallel_safe) -> parallel_safe
-           | None -> true (* no callback: nothing unsafe will run *))
-         members
-  in
-  if not parallel_ok then
-    List.iter
-      (dispatch_one ~bump:(fun () ->
-           t.counters.actions_dispatched <- t.counters.actions_dispatched + 1))
-      members
-  else begin
-    (* Pre-create every member's histogram on this domain so the registry
-       Hashtbl is never structurally mutated from the shards. *)
-    List.iter
-      (fun m -> ignore (Obs.Metrics.ensure_in t.histograms m.m_trigger.Trigger.name))
-      members;
-    let arr = Array.of_list members in
-    let n = Array.length arr in
-    let shard_len = (n + pool_size - 1) / pool_size in
-    let shards =
-      List.init pool_size (fun s ->
-          let lo = s * shard_len in
-          let hi = min n (lo + shard_len) in
-          (lo, hi))
-      |> List.filter (fun (lo, hi) -> lo < hi)
-    in
-    let counts =
-      Pool.run_list t.pool
-        (List.map
-           (fun (lo, hi) () ->
-             let c = ref 0 in
-             for i = lo to hi - 1 do
-               dispatch_one ~bump:(fun () -> incr c) arr.(i)
-             done;
-             !c)
-           shards)
-    in
-    t.counters.actions_dispatched <-
-      t.counters.actions_dispatched + List.fold_left ( + ) 0 counts
-  end
+      let callback =
+        if passes then List.assoc_opt m.m_trigger.Trigger.action t.actions else None
+      in
+      (match audit with
+      | Some r ->
+        let outcome =
+          if not passes then Obs.Audit.Condition_rejected
+          else if Option.is_none callback then Obs.Audit.No_action
+          else Obs.Audit.Fired
+        in
+        audit_action r m ~outcome ~old_node ~new_node
+      | None -> ());
+      if passes then begin
+        t.counters.actions_dispatched <- t.counters.actions_dispatched + 1;
+        (match callback with
+        | Some action ->
+          action
+            { fi_trigger = m.m_trigger.Trigger.name;
+              fi_event = group.g_event;
+              fi_old = old_node;
+              fi_new = new_node;
+              fi_args = List.map (eval_arg ~old_node ~new_node) m.m_args;
+              fi_audit_id = audit_id;
+              fi_stmt_id = stmt_id;
+            }
+        | None -> ())
+      end;
+      let dt = Int64.sub (Obs.Trace.now ()) t0 in
+      Obs.Metrics.observe_in t.histograms m.m_trigger.Trigger.name dt;
+      let tracer = Database.tracer t.db in
+      if Obs.Trace.enabled tracer then
+        Obs.Trace.finish_note tracer t0 "dispatch" m.m_trigger.Trigger.name)
+    members
 
 (* --- static query–update independence (signature derivation) ---
 
@@ -795,7 +715,7 @@ let relevance_summary ~table monitored_op =
 
 let install_sql_triggers t group =
   (* Windowed series names for this group, allocated once per install so
-     the firing continuation never formats strings for the observatory. *)
+     the firing body never formats strings for the observatory. *)
   let gkey = Printf.sprintf "g%d" group.g_id in
   let w_firings = "firings:" ^ gkey in
   let w_latency = "latency_ns:" ^ gkey in
@@ -810,17 +730,11 @@ let install_sql_triggers t group =
         List.map (Schema.col_index schema) schema.Schema.primary_key
       in
       let relevant_slots = List.map (Schema.col_index schema) tp.tp_relevant_cols in
-      (* Two-phase body.  [prepare tc] is the read-only half: it builds the
-         evaluation context (over a task-private scan accumulator), runs
-         the delta plans and computes the (OLD, NEW) pairs plus spurious
-         verdicts — everything a reader domain may do against the frozen
-         statement snapshot.  It returns a continuation holding every side
-         effect: counters, scan-stat merge, audit record creation (and its
-         [fresh_id]), action dispatch and any DML those actions cascade.
-         Continuations always run on the statement's domain in trigger
-         creation order, so firing order, audit ids and WAL appends are
-         independent of the domain count. *)
-      let prepare tc =
+      (* One firing: run the delta plans over the statement's transition
+         tables, drop spurious (OLD = NEW) pairs and dispatch the rest.
+         Scan accounting goes to a private accumulator first, because its
+         total feeds this group's [scan_rows] window series. *)
+      let body tc =
         let pstats = Ra_eval.create_scan_stats () in
         let ctx = Ra_eval.ctx_of_trigger ~stats:pstats tc in
         let ctx =
@@ -828,16 +742,15 @@ let install_sql_triggers t group =
             prune_ctx ctx ~table:tp.tp_table ~pk_slots ~relevant_slots
           else ctx
         in
-        let finish_empty () =
-          t.counters.sql_firings <- t.counters.sql_firings + 1;
-          Ra_eval.merge_scan_stats ~into:t.scan_stats pstats
-        in
         let empty =
           match List.assoc_opt tp.tp_table ctx.Ra_eval.trans with
           | Some ([], []) -> true
           | _ -> false
         in
-        if empty then finish_empty
+        if empty then begin
+          t.counters.sql_firings <- t.counters.sql_firings + 1;
+          Ra_eval.merge_scan_stats ~into:t.scan_stats pstats
+        end
         else begin
           let t0 = Obs.Trace.now () in
           let cols =
@@ -863,145 +776,132 @@ let install_sql_triggers t group =
           let ti = idx "trig_ids" in
           let oi = if List.mem "old_node" cols then Some (idx "old_node") else None in
           let ni = if List.mem "new_node" cols then Some (idx "new_node") else None in
+          t.counters.sql_firings <- t.counters.sql_firings + 1;
+          Ra_eval.merge_scan_stats ~into:t.scan_stats pstats;
+          (* audit record, inserted before dispatch so action callbacks
+             can link back by id; its counters are mutated as the firing
+             proceeds.  One boolean load when auditing is off. *)
+          let audit_log = Database.audit t.db in
+          let arec =
+            if Obs.Audit.enabled audit_log then begin
+              let delta_rows, nabla_rows =
+                match List.assoc_opt tp.tp_table ctx.Ra_eval.trans with
+                | Some (d, n) -> (List.length d, List.length n)
+                | None -> (0, 0)
+              in
+              let r =
+                { Obs.Audit.id = Obs.Audit.fresh_id audit_log;
+                  ts_ns = Obs.Trace.now ();
+                  stmt_id = tc.Database.stmt_id;
+                  stmt_event = Database.string_of_event tc.Database.event;
+                  stmt_table = tc.Database.target;
+                  sql_trigger =
+                    Printf.sprintf "xmltrig$g%d$%s$%s" group.g_id tp.tp_table
+                      (Database.string_of_event tc.Database.event);
+                  strategy = strategy_to_string group.g_strategy;
+                  group_id = group.g_id;
+                  view = group.g_view;
+                  plan_table = tp.tp_table;
+                  plan_mode =
+                    (match tp.tp_exec, tp.tp_shred with
+                    | Some _, _ -> "compiled"
+                    | None, Some _ -> "interpreted"
+                    | None, None -> "middleware");
+                  frag_keys = tp.tp_frag_keys;
+                  cond_mode = group.g_cond_mode;
+                  origin = Database.statement_origin t.db;
+                  delta_rows;
+                  nabla_rows;
+                  pairs_computed = 0;
+                  pairs_spurious = 0;
+                  pairs_kept = 0;
+                  cond_rejected = 0;
+                  dispatched = 0;
+                  actions = [];
+                  notes = [];
+                }
+              in
+              Obs.Audit.add audit_log r;
+              Some r
+            end
+            else None
+          in
+          let pc = List.length rel.Eval.rows in
+          t.counters.rows_computed <- t.counters.rows_computed + pc;
+          (match arec with
+          | Some r -> r.Obs.Audit.pairs_computed <- pc
+          | None -> ());
           (* Consecutive rows usually carry the same (old, new) nodes — one
              view node matched by many triggers — and the compiled getters
              share them physically, so remember the last verdict. *)
           let last_cmp = ref None in
-          let pairs =
-            List.map
-              (fun row ->
-                let old_node = Option.bind oi (fun i -> decode_node row.(i)) in
-                let new_node = Option.bind ni (fun i -> decode_node row.(i)) in
-                let spurious =
-                  group.g_node_compare
-                  &&
-                  match old_node, new_node with
-                  | Some a, Some b -> (
-                    match !last_cmp with
-                    | Some (a', b', verdict) when a' == a && b' == b -> verdict
-                    | _ ->
-                      let verdict = Xml.equal a b in
-                      last_cmp := Some (a, b, verdict);
-                      verdict)
-                  | _ -> false
-                in
-                let trig_ids =
-                  if spurious then ""
-                  else
-                    match row.(ti) with
-                    | Xval.Atom (Value.String s) -> s
-                    | v -> fail "bad trig_ids value %s" (Xval.to_string v)
-                in
-                (old_node, new_node, trig_ids, spurious))
-              rel.Eval.rows
-          in
-          fun () ->
-            t.counters.sql_firings <- t.counters.sql_firings + 1;
-            Ra_eval.merge_scan_stats ~into:t.scan_stats pstats;
-            (* audit record, inserted before dispatch so action callbacks
-               can link back by id; its counters are mutated as the firing
-               proceeds.  One boolean load when auditing is off. *)
-            let audit_log = Database.audit t.db in
-            let arec =
-              if Obs.Audit.enabled audit_log then begin
-                let delta_rows, nabla_rows =
-                  match List.assoc_opt tp.tp_table ctx.Ra_eval.trans with
-                  | Some (d, n) -> (List.length d, List.length n)
-                  | None -> (0, 0)
-                in
-                let r =
-                  { Obs.Audit.id = Obs.Audit.fresh_id audit_log;
-                    ts_ns = Obs.Trace.now ();
-                    stmt_id = tc.Database.stmt_id;
-                    stmt_event = Database.string_of_event tc.Database.event;
-                    stmt_table = tc.Database.target;
-                    sql_trigger =
-                      Printf.sprintf "xmltrig$g%d$%s$%s" group.g_id tp.tp_table
-                        (Database.string_of_event tc.Database.event);
-                    strategy = strategy_to_string group.g_strategy;
-                    group_id = group.g_id;
-                    view = group.g_view;
-                    plan_table = tp.tp_table;
-                    plan_mode =
-                      (match tp.tp_exec, tp.tp_shred with
-                      | Some _, _ -> "compiled"
-                      | None, Some _ -> "interpreted"
-                      | None, None -> "middleware");
-                    frag_keys = tp.tp_frag_keys;
-                    cond_mode = group.g_cond_mode;
-                    origin = Database.statement_origin t.db;
-                    delta_rows;
-                    nabla_rows;
-                    pairs_computed = 0;
-                    pairs_spurious = 0;
-                    pairs_kept = 0;
-                    cond_rejected = 0;
-                    dispatched = 0;
-                    actions = [];
-                    notes = [];
-                  }
-                in
-                Obs.Audit.add audit_log r;
-                Some r
+          let n_spurious = ref 0 and n_kept = ref 0 in
+          List.iter
+            (fun row ->
+              let old_node = Option.bind oi (fun i -> decode_node row.(i)) in
+              let new_node = Option.bind ni (fun i -> decode_node row.(i)) in
+              let spurious =
+                group.g_node_compare
+                &&
+                match old_node, new_node with
+                | Some a, Some b -> (
+                  match !last_cmp with
+                  | Some (a', b', verdict) when a' == a && b' == b -> verdict
+                  | _ ->
+                    let verdict = Xml.equal a b in
+                    last_cmp := Some (a, b, verdict);
+                    verdict)
+                | _ -> false
+              in
+              if spurious then begin
+                incr n_spurious;
+                match arec with
+                | Some r ->
+                  r.Obs.Audit.pairs_spurious <- r.Obs.Audit.pairs_spurious + 1
+                | None -> ()
               end
-              else None
-            in
-            t.counters.rows_computed <-
-              t.counters.rows_computed + List.length rel.Eval.rows;
-            (match arec with
-            | Some r -> r.Obs.Audit.pairs_computed <- List.length rel.Eval.rows
-            | None -> ());
-            let n_spurious = ref 0 and n_kept = ref 0 in
-            List.iter
-              (fun (old_node, new_node, trig_ids, spurious) ->
-                if spurious then begin
-                  incr n_spurious;
-                  match arec with
-                  | Some r ->
-                    r.Obs.Audit.pairs_spurious <- r.Obs.Audit.pairs_spurious + 1
-                  | None -> ()
-                end
-                else begin
-                  incr n_kept;
-                  (match arec with
-                  | Some r -> r.Obs.Audit.pairs_kept <- r.Obs.Audit.pairs_kept + 1
-                  | None -> ());
-                  dispatch ?audit:arec ~stmt_id:tc.Database.stmt_id t group
-                    ~trig_ids ~old_node ~new_node
-                end)
-              pairs;
-            let fin = Obs.Trace.now () in
-            let dt = Int64.sub fin t0 in
-            Obs.Metrics.observe_in t.histograms
-              (Printf.sprintf "firing:g%d:%s" group.g_id tp.tp_table)
-              dt;
-            (* Windowed cost profile for the advisor.  Continuations run
-               sequentially on the statement's domain, so these adds (and
-               the cache-delta attribution) are race-free. *)
-            let w = Database.window t.db in
-            Obs.Window.add w ~now:fin w_firings 1.0;
-            Obs.Window.add w ~now:fin w_latency (Int64.to_float dt);
-            let pc = List.length rel.Eval.rows in
-            if pc > 0 then Obs.Window.add w ~now:fin w_pairs (float_of_int pc);
-            if !n_kept > 0 then
-              Obs.Window.add w ~now:fin w_kept (float_of_int !n_kept);
-            if !n_spurious > 0 then
-              Obs.Window.add w ~now:fin w_spurious (float_of_int !n_spurious);
-            let sc = Ra_eval.scan_stats_total pstats in
-            if sc > 0 then Obs.Window.add w ~now:fin w_scan (float_of_int sc);
-            let ch = t.ra_counters.Relkit.Ra_compile.build_cache_hits
-            and cm = t.ra_counters.Relkit.Ra_compile.build_cache_misses in
-            if ch > t.last_cache_hits then
-              Obs.Window.add w ~now:fin "cache_hits"
-                (float_of_int (ch - t.last_cache_hits));
-            if cm > t.last_cache_misses then
-              Obs.Window.add w ~now:fin "cache_misses"
-                (float_of_int (cm - t.last_cache_misses));
-            t.last_cache_hits <- ch;
-            t.last_cache_misses <- cm
+              else begin
+                let trig_ids =
+                  match row.(ti) with
+                  | Xval.Atom (Value.String s) -> s
+                  | v -> fail "bad trig_ids value %s" (Xval.to_string v)
+                in
+                incr n_kept;
+                (match arec with
+                | Some r -> r.Obs.Audit.pairs_kept <- r.Obs.Audit.pairs_kept + 1
+                | None -> ());
+                dispatch ?audit:arec ~stmt_id:tc.Database.stmt_id t group
+                  ~trig_ids ~old_node ~new_node
+              end)
+            rel.Eval.rows;
+          let fin = Obs.Trace.now () in
+          let dt = Int64.sub fin t0 in
+          Obs.Metrics.observe_in t.histograms
+            (Printf.sprintf "firing:g%d:%s" group.g_id tp.tp_table)
+            dt;
+          (* windowed cost profile for the advisor *)
+          let w = Database.window t.db in
+          Obs.Window.add w ~now:fin w_firings 1.0;
+          Obs.Window.add w ~now:fin w_latency (Int64.to_float dt);
+          if pc > 0 then Obs.Window.add w ~now:fin w_pairs (float_of_int pc);
+          if !n_kept > 0 then
+            Obs.Window.add w ~now:fin w_kept (float_of_int !n_kept);
+          if !n_spurious > 0 then
+            Obs.Window.add w ~now:fin w_spurious (float_of_int !n_spurious);
+          let sc = Ra_eval.scan_stats_total pstats in
+          if sc > 0 then Obs.Window.add w ~now:fin w_scan (float_of_int sc);
+          let ch = t.ra_counters.Relkit.Ra_compile.build_cache_hits
+          and cm = t.ra_counters.Relkit.Ra_compile.build_cache_misses in
+          if ch > t.last_cache_hits then
+            Obs.Window.add w ~now:fin "cache_hits"
+              (float_of_int (ch - t.last_cache_hits));
+          if cm > t.last_cache_misses then
+            Obs.Window.add w ~now:fin "cache_misses"
+              (float_of_int (cm - t.last_cache_misses));
+          t.last_cache_hits <- ch;
+          t.last_cache_misses <- cm
         end
       in
-      let body tc = (prepare tc) () in
       (* one signature per (plan, table), shared by all relational events:
          a statement provably unable to change the monitored level cannot
          produce an XML event of any kind *)
@@ -1017,7 +917,6 @@ let install_sql_triggers t group =
               trig_table = tp.tp_table;
               trig_event = ev;
               body;
-              prepare = Some prepare;
               relevance;
               (* the full text is available via [generated_sql]; rendering a
                  deep plan eagerly here would dominate trigger creation *)
@@ -1332,9 +1231,7 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
         | Some c -> Compose.condition_fallback c ~old_node ~new_node
       in
       let callback =
-        if passes then
-          Option.map fst (List.assoc_opt tr.Trigger.action t.actions)
-        else None
+        if passes then List.assoc_opt tr.Trigger.action t.actions else None
       in
       (match arec with
       | Some r ->
@@ -1447,10 +1344,6 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
           trig_table = ev.Event_pushdown.ev_table;
           trig_event = ev.Event_pushdown.ev_event;
           body;
-          (* recompute-and-diff mutates the snapshot as it fires: it cannot
-             be split into a read-only prepare, so it opts out of parallel
-             firing (the whole statement falls back to the sequential path) *)
-          prepare = None;
           relevance;
           sql_text = "-- MATERIALIZED baseline: recompute and diff";
         })
@@ -2597,9 +2490,6 @@ let metrics_prometheus t =
          ("independence_skips", s.independence_skips);
          ("triggers_dropped", s.triggers_dropped);
        ]);
-  Buffer.add_string buf
-    (Obs.Metrics.prometheus_counters ~metric:"trigview_runtime_domains"
-       [ ("configured", t.tuning.domains) ]);
   (* observability configuration (ring/window geometry), for dashboards *)
   let w = Database.window t.db in
   Buffer.add_string buf
@@ -2678,7 +2568,6 @@ let report t =
       ("prefilter_skips", s.prefilter_skips);
       ("independence_skips", s.independence_skips);
       ("triggers_dropped", s.triggers_dropped);
-      ("domains", t.tuning.domains);
     ];
   let w = Database.window t.db in
   Buffer.add_string buf
@@ -2752,11 +2641,10 @@ let report_json t =
       "{\"sql_firings\": %d, \"rows_computed\": %d, \"actions_dispatched\": %d, \
        \"plans_compiled\": %d, \"compiled_execs\": %d, \"build_cache_hits\": \
        %d, \"build_cache_misses\": %d, \"prefilter_skips\": %d, \
-       \"independence_skips\": %d, \"triggers_dropped\": %d, \"domains\": %d}"
+       \"independence_skips\": %d, \"triggers_dropped\": %d}"
       s.sql_firings s.rows_computed s.actions_dispatched s.plans_compiled
       s.compiled_execs s.build_cache_hits s.build_cache_misses
       s.prefilter_skips s.independence_skips s.triggers_dropped
-      t.tuning.domains
   in
   let scan =
     "{"

@@ -74,9 +74,10 @@ type t
 exception Error of string
 
 (** Optimizer-pass toggles, for ablation studies (bench target
-    [ablation]), plus the domain count of the parallel firing pipeline.
-    The boolean toggles default to on; turning any off is always
-    semantics-preserving, only slower. *)
+    [ablation]), plus observatory and server settings.  The boolean
+    toggles default to on; turning any off is always semantics-preserving,
+    only slower.  Firing always runs sequentially on the calling domain;
+    see DESIGN.md "Concurrency model". *)
 type tuning = {
   push_affected_keys : bool;
       (** semijoin-restrict plans by the affected keys (§5.2 pushdown) *)
@@ -91,16 +92,6 @@ type tuning = {
           the firing path prune statements provably independent of a
           trigger before any delta plan runs; off = every bucket hit fires
           (the pre-independence behaviour) *)
-  domains : int;
-      (** domains the firing pipeline may use (a shared work-stealing
-          {!Pool}).  [1] (the default) is exactly the sequential engine.
-          For [> 1], each statement's trigger prepares (plan execution,
-          tagging, pair computation) run concurrently against a frozen
-          snapshot of the tables, and every side effect — counters, audit
-          records, dispatch, cascaded DML, WAL appends — executes
-          sequentially in trigger creation order afterwards, so results
-          are identical at any setting.  Semantics-preserving by
-          construction; see DESIGN.md "Concurrency model". *)
   window_buckets : int;
       (** bucket count of the sliding statistics window (defaults from
           [$TRIGVIEW_WINDOW_BUCKETS], else 12); applied to the database's
@@ -115,9 +106,8 @@ type tuning = {
           else 10000; [0] disables deadline enforcement *)
 }
 
-(** [domains] defaults to [$TRIGVIEW_DOMAINS] when set to a positive
-    integer (so a whole test run can be switched to the parallel engine
-    from the environment), else [1]. *)
+(** Every toggle on; the window and deadline settings come from their
+    environment variables. *)
 val default_tuning : tuning
 
 val create : ?strategy:strategy -> ?tuning:tuning -> Relkit.Database.t -> t
@@ -133,13 +123,8 @@ val define_view : t -> name:string -> string -> unit
 val find_view : t -> string -> Xquery.Compile.view option
 
 (** Registers an external function callable from trigger actions.
-    [parallel_safe] (default false) asserts the callback tolerates running
-    on a pool domain concurrently with other members' callbacks of the
-    same firing: it must only touch domain-safe state (mutex-guarded
-    queues, atomics) and must not issue DML.  Only firings with
-    [tuning.domains > 1], auditing off, and every member action marked
-    safe are fanned out; everything else dispatches sequentially. *)
-val register_action : ?parallel_safe:bool -> t -> name:string -> action -> unit
+    Callbacks run synchronously, inside the firing statement. *)
+val register_action : t -> name:string -> action -> unit
 
 (** Parses and installs an XML trigger (syntax of §2.2).  [log] (default
     true) controls whether the DDL is recorded for durability; layers that

@@ -421,16 +421,14 @@ let port t = Httpd.port t.httpd
 let registry t = t.registry
 
 (* One transport round, then any deferred hub flush.  The flush happens
-   with the transport lock released: sink delivery (possibly on the
-   writer domain) publishes back into this server via {!Httpd.publish},
-   which takes the lock itself.  A zero-timeout extra round pushes the
+   with the transport lock released: sink delivery publishes back into
+   this server via {!Httpd.publish}, which takes the lock itself.  A zero-timeout extra round pushes the
    freshly queued SSE bytes onto the wire within the same call. *)
 let step ?timeout_ms t =
   let n = Httpd.step ?timeout_ms t.httpd in
   if t.hub_dirty then begin
     t.hub_dirty <- false;
     ignore (Hub.flush t.hub);
-    Hub.drain_writer t.hub;
     n + Httpd.step ~timeout_ms:0 t.httpd
   end
   else n

@@ -268,8 +268,7 @@ let answer_longpoll t c ~channel ~cursor =
   queue_response t c { status = 200; headers = json_headers; body }
 
 (* Publish one event: retain, then fan out to matching streams and held
-   polls.  Called from the hub's writer domain as well as the pump
-   thread, hence the lock. *)
+   polls.  Callable from any domain, hence the lock. *)
 let publish t ~channel payload =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->

@@ -6,8 +6,8 @@
     one [select] round — accept, read, parse, dispatch, write — and
     returns; the owner decides when to pump, so the server composes with
     the synchronous trigger runtime in one thread while [publish] may be
-    called from the hub's writer domain (the three state-touching entry
-    points serialize on one coarse mutex).
+    called from another domain (the three state-touching entry points
+    serialize on one coarse mutex).
 
     The handler (installed with {!set_handler}) is the routing layer; it
     runs inside [step] on the pumping thread, so database reads, DML and

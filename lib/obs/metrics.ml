@@ -130,19 +130,6 @@ type registry = (string, histogram) Hashtbl.t
 
 let create_registry () : registry = Hashtbl.create 16
 
-(* Find-or-create without observing.  The parallel dispatch path calls
-   this for every histogram it will touch *before* fanning out, so the
-   registry Hashtbl is never structurally mutated from several domains
-   ([observe] on an existing histogram is plain field stores — racy but
-   memory-safe, and each parallel shard touches distinct names). *)
-let ensure_in (reg : registry) name =
-  match Hashtbl.find_opt reg name with
-  | Some h -> h
-  | None ->
-    let h = create_histogram () in
-    Hashtbl.add reg name h;
-    h
-
 let observe_in (reg : registry) name ns =
   let h =
     match Hashtbl.find_opt reg name with

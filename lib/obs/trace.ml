@@ -8,13 +8,14 @@
    Call sites that build label strings must guard on [enabled] so the
    string is never allocated when tracing is off.
 
-   Since the firing pipeline can run on several domains (Pool), each
-   domain records into its own ring: rings are created on first record
-   from a domain (under [rings_lock]) and published by swapping the
+   A tracer may be shared by several domains (benchmark and test client
+   domains beside the engine's), so each domain records into its own
+   ring: rings are created on first record from a domain (under
+   [rings_lock]) and published by swapping the
    [rings] array pointer, so the record fast path takes no lock — it scans
    a tiny array for its own ring and appends, and only the owning domain
    ever mutates a ring's interior.  Readers ([events], [render], exports)
-   run between parallel sections and merge all rings by start timestamp.
+   merge all rings by start timestamp.
 
    Each ring is a true ring: when full, recording evicts the *oldest*
    span (a long run keeps its most recent window, not its startup), and
@@ -190,8 +191,8 @@ let to_json t =
    audit records) become "ph":"i" instant events with a JSON args payload.
    Timestamps are microseconds as the format requires; fractional µs keep
    the ns resolution.  All events share pid 1; the tid is the id of the
-   domain that recorded the span, so a parallel run shows one track per
-   domain and Perfetto reconstructs per-track nesting from containment. *)
+   domain that recorded the span, so a multi-domain run shows one track
+   per domain and Perfetto reconstructs per-track nesting from containment. *)
 
 let chrome_ts ns = Int64.to_float ns /. 1_000.0
 

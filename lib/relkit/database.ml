@@ -44,12 +44,6 @@ type t = {
       (* triggers inside the activated bucket that the static relevance
          signature proved independent of the statement (counted separately
          from the table-level prefilter above) *)
-  mutable parallel_runner : ((unit -> unit -> unit) list -> (unit -> unit) list) option;
-      (* installed by the runtime when tuning.domains > 1: runs the given
-         prepare thunks (read-only against the statement snapshot) to
-         completion — on a domain pool, under [with_shared_reads] — and
-         returns their continuations in submission order.  [None] = fire
-         strictly sequentially (the domains=1 path) *)
   mutable firing_depth : int;
   mutable on_change : (change -> unit) option;
   mutable change_paused : bool;
@@ -73,9 +67,7 @@ type t = {
          the runtime's SQL-trigger bodies append firing records here *)
   mutable window : Obs.Window.t;
       (* sliding-window statistics (per-table DML rates, skip rates,
-         per-group firing profiles) shared by every layer holding a [t];
-         all adds happen on the statement's domain, so windowed series
-         conserve exactly even with a parallel prepare pool *)
+         per-group firing profiles) shared by every layer holding a [t] *)
 }
 
 and trigger_ctx = {
@@ -92,14 +84,6 @@ and trigger = {
   trig_table : string;
   trig_event : event;
   body : trigger_ctx -> unit;
-  prepare : (trigger_ctx -> unit -> unit) option;
-      (* two-phase form of [body] for the parallel pipeline: [prepare ctx]
-         is read-only against the frozen statement snapshot (plan
-         execution, tagging, pair computation) and returns a continuation
-         holding every side effect (counters, audit, dispatch, cascaded
-         DML).  Contract: [body ctx] must behave exactly like
-         [(Option.get prepare) ctx ()].  [None] = the trigger can only run
-         sequentially (e.g. the MATERIALIZED baseline). *)
   relevance : relevance option;
       (* static relevance signature derived at arm time from the trigger's
          plan; [None] = always relevant (fire on every bucket hit) *)
@@ -163,7 +147,6 @@ let create () =
     trig_index = Hashtbl.create 16;
     trigger_skips = 0;
     independence_skips = 0;
-    parallel_runner = None;
     firing_depth = 0;
     on_change = None;
     change_paused = false;
@@ -322,21 +305,6 @@ let check_uniques tbl row =
         ())
     schema.Schema.uniques
 
-(* --- shared-read snapshot (single writer / multiple readers) --- *)
-
-(* Freezes every table for the duration of [f]: reader domains may query
-   the database freely (it is a stable statement snapshot — mutation
-   attempts raise), shared per-table memo caches are bypassed.  Thaws on
-   the way out even on exceptions.  Tables created during [f] would escape
-   the freeze, but DDL is itself a mutation of engine state and never runs
-   inside a parallel section. *)
-let with_shared_reads t f =
-  Hashtbl.iter (fun _ tbl -> Table.set_frozen tbl true) t.tables;
-  Fun.protect
-    ~finally:(fun () -> Hashtbl.iter (fun _ tbl -> Table.set_frozen tbl false) t.tables)
-    f
-
-let set_parallel_runner t runner = t.parallel_runner <- runner
 let trigger_skips t = t.trigger_skips
 let reset_trigger_skips t = t.trigger_skips <- 0
 let independence_skips t = t.independence_skips
@@ -505,37 +473,16 @@ let fire_triggers t ~target ~event ~stmt_id ~inserted ~deleted ?touched () =
         invalid_arg "Database: trigger recursion depth exceeded";
       t.firing_depth <- t.firing_depth + 1;
       let ctx = { db = t; target; event; stmt_id; inserted; deleted } in
-      let fire_sequentially () =
-        List.iter
-          (fun tr ->
-            let t0 = Obs.Trace.start t.trace in
-            tr.body ctx;
-            (* trig_name is a live string: no allocation when disabled *)
-            Obs.Trace.finish_note t.trace t0 "trigger" tr.trig_name)
-          to_fire
-      in
       Fun.protect
         ~finally:(fun () -> t.firing_depth <- t.firing_depth - 1)
         (fun () ->
-          match t.parallel_runner with
-          | Some run
-            when List.length to_fire >= 2
-                 && List.for_all (fun tr -> tr.prepare <> None) to_fire ->
-            (* Two-phase parallel firing: the read-only prepares run on the
-               pool against the frozen snapshot; the continuations — every
-               side effect — run here, on the statement's domain, in
-               creation order.  Firing order, audit records, WAL appends
-               are therefore identical to the sequential path. *)
-            let ks =
-              run (List.map (fun tr () -> (Option.get tr.prepare) ctx) to_fire)
-            in
-            List.iter2
-              (fun tr k ->
-                let t0 = Obs.Trace.start t.trace in
-                k ();
-                Obs.Trace.finish_note t.trace t0 "trigger" tr.trig_name)
-              to_fire ks
-          | _ -> fire_sequentially ())
+          List.iter
+            (fun tr ->
+              let t0 = Obs.Trace.start t.trace in
+              tr.body ctx;
+              (* trig_name is a live string: no allocation when disabled *)
+              Obs.Trace.finish_note t.trace t0 "trigger" tr.trig_name)
+            to_fire)
     end
   end
 
@@ -575,7 +522,7 @@ let insert_no_fire t ~table rows =
 let dml_note op table n = Printf.sprintf "%s %s n=%d" op table n
 
 (* Windowed per-table DML statistics: one statement count plus the rows it
-   affected.  Called once per statement, on the statement's domain. *)
+   affected.  Called once per statement. *)
 let bump_dml t table n =
   let now = Obs.Trace.now () in
   Obs.Window.add t.window ~now ("dml:" ^ table) 1.0;

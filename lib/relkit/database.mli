@@ -33,13 +33,6 @@ type trigger = {
   trig_table : string;
   trig_event : event;
   body : trigger_ctx -> unit;
-  prepare : (trigger_ctx -> unit -> unit) option;
-      (** two-phase form of [body] for the parallel firing pipeline:
-          [prepare ctx] must be read-only (it runs on a reader domain
-          against the frozen statement snapshot) and return a continuation
-          holding every side effect; [body ctx] must behave exactly like
-          [(Option.get prepare) ctx ()].  [None] (fine for all
-          sequential-only users) opts the trigger out of parallel firing. *)
   relevance : relevance option;
       (** static relevance signature derived at arm time; [None] = always
           fire on a bucket hit (the pre-independence behaviour) *)
@@ -96,9 +89,7 @@ val tracer : t -> Obs.Trace.t
 val audit : t -> Obs.Audit.t
 
 (** The database's sliding-window statistics (per-table DML rates, skip
-    rates, and the runtime's per-group firing profiles).  All series are
-    maintained on the statement's domain, so bucket deltas conserve
-    exactly against lifetime totals. *)
+    rates, and the runtime's per-group firing profiles). *)
 val window : t -> Obs.Window.t
 
 (** Replace the window with a fresh one using a different bucket
@@ -207,28 +198,6 @@ val update_pk :
 
 val delete_rows : t -> table:string -> where:(Value.t array -> bool) -> int
 val delete_pk : t -> table:string -> pk:Value.t list -> bool
-
-(** {2 Parallel firing support}
-
-    The statement path stays single-writer: DML always executes on one
-    domain.  When a statement fires several two-phase triggers and a
-    parallel runner is installed, their [prepare] phases run concurrently
-    against the frozen snapshot ({!with_shared_reads}) and the
-    continuations execute sequentially in creation order — firing order,
-    audit records and WAL appends are identical to the sequential path. *)
-
-(** [with_shared_reads db f] freezes every table for the duration of [f]
-    (mutations raise, shared memo caches are bypassed — see
-    {!Table.set_frozen}), thawing on the way out even on exceptions. *)
-val with_shared_reads : t -> (unit -> 'a) -> 'a
-
-(** Installs (or clears) the runner used by the firing path: it receives
-    the prepare thunks of one statement's triggers and must run them all to
-    completion — typically on a domain pool, under {!with_shared_reads} —
-    returning their continuations in submission order.  [None] (the
-    default) fires strictly sequentially. *)
-val set_parallel_runner :
-  t -> ((unit -> unit -> unit) list -> (unit -> unit) list) option -> unit
 
 (** Triggers never examined thanks to the (table, event) prefilter index,
     summed over all statements that had a firing opportunity. *)

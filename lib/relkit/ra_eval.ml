@@ -17,9 +17,8 @@ let count_scan (stats : scan_stats) name n =
 
 let reset_scan_stats (stats : scan_stats) = Hashtbl.reset stats
 
-(* Fold [src] into [dst].  The parallel firing pipeline gives each prepare
-   task a private accumulator and merges them into the manager's shared one
-   from the sequential continuation, so totals are deterministic. *)
+(* Fold [src] into [dst]: the firing path counts each firing privately
+   (for its windowed scan total) and then merges into the manager's. *)
 let merge_scan_stats ~into:(dst : scan_stats) (src : scan_stats) =
   Hashtbl.iter (fun k n -> count_scan dst k n) src
 

@@ -30,9 +30,10 @@ val count_scan : scan_stats -> string -> int -> unit
 val reset_scan_stats : scan_stats -> unit
 val scan_stats_total : scan_stats -> int
 
-(** Adds every per-source count of [src] into [into].  The parallel firing
-    pipeline accumulates into task-private stats on reader domains and
-    merges them here from the sequential phase. *)
+(** Adds every per-source count of [src] into [into].  The firing path
+    accumulates each firing into private stats (its total feeds the
+    per-group [scan_rows] window series) and merges them into the
+    manager's shared accumulator. *)
 val merge_scan_stats : into:scan_stats -> scan_stats -> unit
 
 (** Per-source row counts, highest first. *)

@@ -61,9 +61,14 @@ let lex input =
         incr i
       done;
       let s = String.sub input start (!i - start) in
-      tokens :=
-        Num (if !dot then Value.Float (float_of_string s) else Value.Int (int_of_string s))
-        :: !tokens
+      let v =
+        if !dot then Value.Float (float_of_string s)
+        else
+          match int_of_string_opt s with
+          | Some i -> Value.Int i
+          | None -> fail "integer literal out of range"
+      in
+      tokens := Num v :: !tokens
     end
     else if c = '\'' then begin
       incr i;

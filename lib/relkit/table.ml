@@ -47,11 +47,6 @@ type t = {
       (* [lookup] result rows, valid for exactly one version: one trigger
          firing probes the same (column, value) several times — old and new
          sides, count subqueries, fragment plans — and mutations reset it *)
-  mutable frozen : bool;
-      (* single-writer/multi-reader discipline for the parallel firing
-         pipeline: while frozen, mutations raise and [lookup_cached]
-         bypasses its (shared, unsynchronized) memo — the content is a
-         stable statement snapshot that reader domains may scan freely *)
   probes : probe_stats;
 }
 
@@ -62,7 +57,6 @@ let create schema =
     version = 0;
     lookup_cache = Hashtbl.create 64;
     lookup_cache_version = -1;
-    frozen = false;
     probes =
       { pk_probes = 0;
         pk_hits = 0;
@@ -76,15 +70,6 @@ let schema t = t.schema
 let row_count t = Pk_table.length t.rows
 let version t = t.version
 let bump t = t.version <- t.version + 1
-
-let frozen t = t.frozen
-let set_frozen t on = t.frozen <- on
-
-let check_not_frozen t what =
-  if t.frozen then
-    invalid_arg
-      (Printf.sprintf "Table.%s: table %S is frozen (shared-read snapshot)"
-         what t.schema.Schema.name)
 
 let pk_of t row = Schema.pk_of_row t.schema row
 
@@ -111,7 +96,6 @@ let index_remove idx v pk =
   end
 
 let create_index t column =
-  check_not_frozen t "create_index";
   if not (List.exists (fun (c, _, _) -> c = column) t.indexes) then begin
     let slot = Schema.col_index t.schema column in
     let idx : index = V_table.create 64 in
@@ -197,25 +181,19 @@ let lookup t ~column v =
    The interpreter keeps the plain [lookup] so it stays a faithful
    reference implementation. *)
 let lookup_cached t ~column v =
-  (* While frozen, several domains may probe concurrently: the shared memo
-     Hashtbl is not safe to mutate then, so fall through to the plain
-     lookup (the snapshot is stable, correctness is unaffected). *)
-  if t.frozen then lookup t ~column v
-  else begin
-    if t.lookup_cache_version <> t.version then begin
-      Hashtbl.reset t.lookup_cache;
-      t.lookup_cache_version <- t.version
-    end;
-    let key = (column, v) in
-    match Hashtbl.find_opt t.lookup_cache key with
-    | Some rows ->
-      t.probes.cache_hits <- t.probes.cache_hits + 1;
-      rows
-    | None ->
-      let rows = lookup t ~column v in
-      Hashtbl.add t.lookup_cache key rows;
-      rows
-  end
+  if t.lookup_cache_version <> t.version then begin
+    Hashtbl.reset t.lookup_cache;
+    t.lookup_cache_version <- t.version
+  end;
+  let key = (column, v) in
+  match Hashtbl.find_opt t.lookup_cache key with
+  | Some rows ->
+    t.probes.cache_hits <- t.probes.cache_hits + 1;
+    rows
+  | None ->
+    let rows = lookup t ~column v in
+    Hashtbl.add t.lookup_cache key rows;
+    rows
 
 let iter t f = Pk_table.iter (fun _ row -> f row) t.rows
 let fold t ~init ~f = Pk_table.fold (fun _ row acc -> f acc row) t.rows init
@@ -230,7 +208,6 @@ let index_row t op row =
     t.indexes
 
 let insert_exn t row =
-  check_not_frozen t "insert";
   let pk = pk_of t row in
   if Pk_table.mem t.rows pk then
     invalid_arg
@@ -242,7 +219,6 @@ let insert_exn t row =
   bump t
 
 let delete_pk t pk =
-  check_not_frozen t "delete";
   match Pk_table.find_opt t.rows pk with
   | None -> None
   | Some row ->
@@ -252,7 +228,6 @@ let delete_pk t pk =
     Some row
 
 let replace_exn t row =
-  check_not_frozen t "replace";
   let pk = pk_of t row in
   match Pk_table.find_opt t.rows pk with
   | None ->

@@ -16,17 +16,6 @@ val row_count : t -> int
     invalidates derived artifacts. *)
 val version : t -> int
 
-(** Single-writer / multi-reader snapshot discipline for the parallel
-    firing pipeline.  While frozen the table is a stable statement
-    snapshot: reader domains may call every query operation freely, and
-    any mutation ({!insert_exn}, {!delete_pk}, {!replace_exn},
-    {!create_index}) raises [Invalid_argument].  {!lookup_cached} bypasses
-    its shared memo while frozen.  {!Database.with_shared_reads} freezes
-    and thaws every table of a database around a parallel section. *)
-val frozen : t -> bool
-
-val set_frozen : t -> bool -> unit
-
 (** Adds a secondary hash index on [column] (no-op if already present).
     @raise Not_found if the column does not exist. *)
 val create_index : t -> string -> unit

@@ -35,12 +35,12 @@
    may sit undrained: both evict the client ([clients_evicted]), the same
    request-deadline hygiene the HTTP front door applies per request.
 
-   Cross-domain use: the hub's dedicated writer domain calls [publish]
-   while the owning thread pumps [step], so the three entry points that
+   Cross-domain use: [publish] may be called from another domain while
+   the owning thread pumps [step], so the three entry points that
    touch server state ([publish], [step], [stop]) serialize on one coarse
    mutex.  [step] holds it across its [select] round — publishers stall at
    most one timeout (callers pump with 0–10 ms timeouts); a finer lock is
-   not worth the complexity for a fan-out of one writer + one pump. *)
+   not worth the complexity for one publisher + one pump. *)
 
 type client = {
   fd : Unix.file_descr;

@@ -54,52 +54,23 @@ type sub = {
   mutable sb_seq : int;  (* per-subscription notification sequence *)
 }
 
-(* Sink I/O runs on a dedicated writer domain when one is started (see
-   [start_writer]): [flush] drains the queues on the calling domain —
-   keeping all conservation accounting deterministic — and hands the
-   creation-ordered batch list to the writer through a Mutex/Condition
-   inbox.  Socket writes and file appends then happen off the firing
-   thread. *)
-type writer = {
-  w_lock : Mutex.t;
-  w_cond : Condition.t;  (* signalled on enqueue AND on batch completion *)
-  w_queue : (sub * Notification.t list) list Queue.t;  (* FIFO of flush batches *)
-  mutable w_stop : bool;
-  mutable w_busy : bool;  (* a popped batch is still being delivered *)
-  mutable w_domain : unit Domain.t option;
-}
-
 type t = {
   mgr : Runtime.t;
   mutable subs : (string * sub) list;  (* newest first *)
   mutable ordered : (string * sub) list;  (* creation order; flush path *)
-  (* Firing-path lookup, sharded by subscriber key so concurrent reader
-     domains (parallel member fan-out) never contend on one table.  All
-     structural mutation happens on the statement domain between firings;
-     during a firing the shards are read-only, which OCaml Hashtbls allow
-     from any number of domains. *)
-  shards : (string, sub) Hashtbl.t array;
+  by_name : (string, sub) Hashtbl.t;  (* firing-path lookup *)
   mutable sinks : sink list;
   registry : Obs.Metrics.registry;  (* per-subscription delivery latency *)
   mutable flushes : int;
   mutable notifications_delivered : int;
-  mutable writer : writer option;
 }
 
 let action_name = "sub$notify"
 let trigger_name name = "sub$" ^ name
 
-let n_shards = 16
-let shard_of t name = t.shards.(Hashtbl.hash name land (n_shards - 1))
-let find_sub t name = Hashtbl.find_opt (shard_of t name) name
+let find_sub t name = Hashtbl.find_opt t.by_name name
 
-(* --- the shared action: firing -> notification -> queue ---
-
-   Registered [parallel_safe]: during a parallel member fan-out each shard
-   dispatches distinct subscriptions, so [sb_seq] has one writer; the shard
-   Hashtbls are read-only during firing; [Squeue.push] is mutex-guarded;
-   and the audit branch is dead on the parallel path (fan-out is gated on
-   auditing being off, so [fi_audit_id] is always 0 there). *)
+(* --- the shared action: firing -> notification -> queue --- *)
 
 let on_fire t (fi : Runtime.firing) =
   match fi.Runtime.fi_args with
@@ -139,16 +110,14 @@ let attach mgr =
     { mgr;
       subs = [];
       ordered = [];
-      shards = Array.init n_shards (fun _ -> Hashtbl.create 8);
+      by_name = Hashtbl.create 16;
       sinks = [];
       registry = Obs.Metrics.create_registry ();
       flushes = 0;
       notifications_delivered = 0;
-      writer = None;
     }
   in
-  Runtime.register_action ~parallel_safe:true mgr ~name:action_name
-    (fun fi -> on_fire t fi);
+  Runtime.register_action mgr ~name:action_name (fun fi -> on_fire t fi);
   t
 
 (* --- SUBSCRIBE DDL parsing --- *)
@@ -291,7 +260,7 @@ let subscribe_internal ?(log = true) t ddl =
   in
   t.subs <- (p.p_name, sub) :: t.subs;
   t.ordered <- List.rev t.subs;
-  Hashtbl.replace (shard_of t p.p_name) p.p_name sub;
+  Hashtbl.replace t.by_name p.p_name sub;
   if log then
     Runtime.record_custom_ddl t.mgr ~kind:"subscription" ~name:p.p_name ~payload:ddl
 
@@ -304,7 +273,7 @@ let unsubscribe t name =
     Runtime.drop_trigger ~log:false t.mgr (trigger_name name);
     t.subs <- List.remove_assoc name t.subs;
     t.ordered <- List.rev t.subs;
-    Hashtbl.remove (shard_of t name) name;
+    Hashtbl.remove t.by_name name;
     Runtime.record_custom_ddl t.mgr ~kind:"drop_subscription" ~name ~payload:""
 
 let subscription_names t = List.rev_map fst t.subs
@@ -357,11 +326,7 @@ let deliver_one t n =
       | Socket srv -> Server.publish srv (Notification.to_ndjson n))
     t.sinks
 
-(* Push one flush's batches to the sinks, in subscription-creation order.
-   Runs on the flushing domain in sync mode and on the writer domain in
-   async mode ([Obs.Trace] keeps a ring per domain; the delivery-latency
-   histograms are pre-created by [flush] before handoff, so [observe_in]
-   never mutates the registry structurally off the statement domain). *)
+(* Push one flush's batches to the sinks, in subscription-creation order. *)
 let deliver_batches t ~tracer batches =
   List.iter
     (fun (sub, items) ->
@@ -376,74 +341,15 @@ let deliver_batches t ~tracer batches =
         Obs.Trace.finish_note tracer t0 "deliver" sub.sb_name)
     batches
 
-let writer_loop t w =
-  let tracer = Database.tracer (Runtime.database t.mgr) in
-  let rec loop () =
-    Mutex.lock w.w_lock;
-    while Queue.is_empty w.w_queue && not w.w_stop do
-      Condition.wait w.w_cond w.w_lock
-    done;
-    if Queue.is_empty w.w_queue then Mutex.unlock w.w_lock  (* stopping *)
-    else begin
-      let batches = Queue.pop w.w_queue in
-      w.w_busy <- true;
-      Mutex.unlock w.w_lock;
-      Fun.protect
-        ~finally:(fun () ->
-          Mutex.lock w.w_lock;
-          w.w_busy <- false;
-          Condition.broadcast w.w_cond;
-          Mutex.unlock w.w_lock)
-        (fun () -> deliver_batches t ~tracer batches);
-      loop ()
-    end
-  in
-  loop ()
+(* No-ops.  Sink I/O always runs inside [flush]: every notification has
+   reached the sinks by the time [flush] returns, so there is no writer to
+   start or drain.  They remain only because the fanout-notify benchmark
+   workload (bench/e2e/fanout_notify.ml) still calls them; drop them
+   together with those calls. *)
+let start_writer (_ : t) = ()
+let drain_writer (_ : t) = ()
 
-let start_writer t =
-  match t.writer with
-  | Some _ -> ()
-  | None ->
-    let w =
-      { w_lock = Mutex.create ();
-        w_cond = Condition.create ();
-        w_queue = Queue.create ();
-        w_stop = false;
-        w_busy = false;
-        w_domain = None;
-      }
-    in
-    t.writer <- Some w;
-    w.w_domain <- Some (Domain.spawn (fun () -> writer_loop t w))
-
-(* Block until every handed-off batch has reached the sinks.  No-op in
-   sync mode. *)
-let drain_writer t =
-  match t.writer with
-  | None -> ()
-  | Some w ->
-    Mutex.lock w.w_lock;
-    while (not (Queue.is_empty w.w_queue)) || w.w_busy do
-      Condition.wait w.w_cond w.w_lock
-    done;
-    Mutex.unlock w.w_lock
-
-let stop_writer t =
-  match t.writer with
-  | None -> ()
-  | Some w ->
-    drain_writer t;
-    Mutex.lock w.w_lock;
-    w.w_stop <- true;
-    Condition.broadcast w.w_cond;
-    Mutex.unlock w.w_lock;
-    (match w.w_domain with Some d -> Domain.join d | None -> ());
-    t.writer <- None
-
-(* Stops the writer (if any) before closing: a file channel must not be
-   closed under a delivery in flight. *)
 let close_sinks t =
-  stop_writer t;
   List.iter
     (function
       | File { oc; _ } -> close_out_noerr oc
@@ -455,13 +361,7 @@ let close_sinks t =
    order; within one queue, items leave in enqueue (statement) order.  Ends
    the current coalescing window.  Returns the number of notifications
    delivered.  Delivery latency is recorded per subscription, and a
-   [deliver] span per non-empty queue lands in the runtime's tracer.
-
-   Queue draining — and with it all Squeue conservation accounting and
-   [notifications_delivered] — always happens here, on the calling domain,
-   so the counters are deterministic at any domain count.  Only the sink
-   I/O moves to the writer domain when one is running; callers that need
-   the bytes on the wire before proceeding use [drain_writer]. *)
+   [deliver] span per non-empty queue lands in the runtime's tracer. *)
 let flush t =
   t.flushes <- t.flushes + 1;
   let tracer = Database.tracer (Runtime.database t.mgr) in
@@ -470,23 +370,13 @@ let flush t =
       (fun (_, sub) ->
         match Squeue.flush sub.sb_queue with
         | [] -> None
-        | items ->
-          ignore (Obs.Metrics.ensure_in t.registry sub.sb_metric);
-          Some (sub, items))
+        | items -> Some (sub, items))
       t.ordered
   in
   let total =
     List.fold_left (fun acc (_, items) -> acc + List.length items) 0 batches
   in
-  (match t.writer with
-  | None -> deliver_batches t ~tracer batches
-  | Some w ->
-    if batches <> [] then begin
-      Mutex.lock w.w_lock;
-      Queue.push batches w.w_queue;
-      Condition.broadcast w.w_cond;
-      Mutex.unlock w.w_lock
-    end);
+  deliver_batches t ~tracer batches;
   t.notifications_delivered <- total + t.notifications_delivered;
   total
 

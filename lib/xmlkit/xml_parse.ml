@@ -73,13 +73,24 @@ let decode_entities st raw =
           | "apos" -> "'"
           | _ ->
             if String.length name > 1 && name.[0] = '#' then
-              let code =
+              (* digits only, so the code is never negative; a run too long
+                 for an int reads as out of range *)
+              let prefix, digits, is_digit =
                 if name.[1] = 'x' then
-                  int_of_string ("0x" ^ String.sub name 2 (String.length name - 2))
-                else int_of_string (String.sub name 1 (String.length name - 1))
+                  ("0x", String.sub name 2 (String.length name - 2), function
+                    | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                    | _ -> false)
+                else
+                  ("", String.sub name 1 (String.length name - 1), function
+                    | '0' .. '9' -> true
+                    | _ -> false)
               in
-              if code < 128 then String.make 1 (Char.chr code)
-              else fail st "non-ASCII character references are not supported"
+              if digits = "" || not (String.for_all is_digit digits) then
+                fail st (Printf.sprintf "malformed character reference &%s;" name)
+              else
+                match int_of_string_opt (prefix ^ digits) with
+                | Some code when code < 128 -> String.make 1 (Char.chr code)
+                | _ -> fail st "non-ASCII character references are not supported"
             else fail st (Printf.sprintf "unknown entity &%s;" name)
         in
         Buffer.add_string buf repl;

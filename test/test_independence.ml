@@ -15,8 +15,8 @@
      value-identical pairs never enter the firing path at all;
    - a qcheck differential: pruning on vs off is observationally identical
      (documents, firing logs, audit records, subscriber deliveries) across
-     all four strategies and domains 1 vs 4 — pruning may only remove
-     activations whose audit records carried zero kept pairs. *)
+     all four strategies — pruning may only remove activations whose audit
+     records carried zero kept pairs. *)
 
 open Relkit
 module Runtime = Trigview.Runtime
@@ -196,7 +196,6 @@ let watch db fired name =
     { Database.trig_name = name;
       trig_table = "flat";
       trig_event = Database.Update;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun _ -> fired := name :: !fired);
@@ -246,8 +245,7 @@ let test_prefilter_skip_accounting () =
   Alcotest.(check (list string)) "nothing fired" [] !fired;
   Alcotest.(check int) "count maintained across DML" 7 (Database.trigger_count db)
 
-(* --- qcheck differential: pruning on vs off, all strategies, 1 vs 4
-   domains.  Ops mix leaf price updates (never prunable: price is
+(* --- qcheck differential: pruning on vs off, all strategies.  Ops mix leaf price updates (never prunable: price is
    observed), top-element renames (prunable against the path-predicated
    triggers' name constants) and no-op updates (dropped pre-firing). --- *)
 
@@ -301,10 +299,10 @@ let apply_op built (kind, top, step) =
          ~pk:[ Value.String (Printf.sprintf "t1r%d" top) ]
          ~set:Array.copy)
 
-let run_workload ~independence ~domains ~strategy ops =
+let run_workload ~independence ~strategy ops =
   let built = Workload.build small in
   let db = built.Workload.db in
-  let tuning = { Runtime.default_tuning with Runtime.domains; independence } in
+  let tuning = { Runtime.default_tuning with Runtime.independence } in
   let mgr = Runtime.create ~strategy ~tuning db in
   Runtime.define_view mgr ~name:"doc" built.Workload.view_text;
   let log = ref [] in
@@ -379,25 +377,22 @@ let prop_independence_differential =
     (fun ops ->
       List.for_all
         (fun strategy ->
-          List.for_all
-            (fun domains ->
-              let doc_on, log_on, audit_on, del_on =
-                run_workload ~independence:true ~domains ~strategy ops
-              in
-              let doc_off, log_off, audit_off, del_off =
-                run_workload ~independence:false ~domains ~strategy ops
-              in
-              doc_on = doc_off && log_on = log_off && del_on = del_off
-              &&
-              match audit_removed audit_off audit_on with
-              | None -> false  (* pruning may never add an activation *)
-              | Some removed ->
-                (* removed activations must have been provably idle *)
-                List.for_all
-                  (fun (_, _, _, _, _, _, kept, dispatched) ->
-                    kept = 0 && dispatched = 0)
-                  removed)
-            [ 1; 4 ])
+          let doc_on, log_on, audit_on, del_on =
+            run_workload ~independence:true ~strategy ops
+          in
+          let doc_off, log_off, audit_off, del_off =
+            run_workload ~independence:false ~strategy ops
+          in
+          doc_on = doc_off && log_on = log_off && del_on = del_off
+          &&
+          match audit_removed audit_off audit_on with
+          | None -> false  (* pruning may never add an activation *)
+          | Some removed ->
+            (* removed activations must have been provably idle *)
+            List.for_all
+              (fun (_, _, _, _, _, _, kept, dispatched) ->
+                kept = 0 && dispatched = 0)
+              removed)
         strategies)
 
 let () =

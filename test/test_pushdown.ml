@@ -25,7 +25,6 @@ let capture_ctx db ~table ~event dml =
     { Database.trig_name = "capture!";
       trig_table = table;
       trig_event = event;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun tc -> captured := Some (Ra_eval.ctx_of_trigger tc));

@@ -194,7 +194,6 @@ let test_push_transition_joins_probes () =
     { Database.trig_name = "c";
       trig_table = "child";
       trig_event = Database.Update;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun tc -> captured := Some (Ra_eval.ctx_of_trigger tc));

@@ -192,7 +192,6 @@ let test_db_update_fires_trigger_with_transitions () =
     { Database.trig_name = "t1";
       trig_table = "vendor";
       trig_event = Database.Update;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun ctx -> seen := Some (ctx.Database.inserted, ctx.Database.deleted));
@@ -217,7 +216,6 @@ let test_db_statement_level_firing () =
     { Database.trig_name = "t1";
       trig_table = "vendor";
       trig_event = Database.Update;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body =
@@ -242,7 +240,6 @@ let test_db_no_fire_on_empty_statement () =
     { Database.trig_name = "t1";
       trig_table = "vendor";
       trig_event = Database.Delete;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun _ -> incr fired);
@@ -260,7 +257,6 @@ let test_db_insert_delete_events () =
         { Database.trig_name = name;
           trig_table = "vendor";
           trig_event = event;
-          prepare = None;
       relevance = None;
           sql_text = "(test)";
           body =
@@ -287,7 +283,6 @@ let test_db_trigger_recursion_cap () =
     { Database.trig_name = "loop";
       trig_table = "product";
       trig_event = Database.Update;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body =
@@ -312,7 +307,6 @@ let test_db_load_rows_skips_triggers () =
     { Database.trig_name = "t";
       trig_table = "vendor";
       trig_event = Database.Insert;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun _ -> incr fired);
@@ -467,7 +461,6 @@ let with_update_ctx db f =
     { Database.trig_name = "capture";
       trig_table = "vendor";
       trig_event = Database.Update;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun ctx -> captured := Some (Ra_eval.ctx_of_trigger ctx));
@@ -645,7 +638,6 @@ let prop_old_of_inverts_update =
         { Database.trig_name = "capture";
           trig_table = "vendor";
           trig_event = Database.Update;
-          prepare = None;
       relevance = None;
           sql_text = "(test)";
           body =

@@ -109,7 +109,6 @@ let test_dml_fires_triggers () =
     { Database.trig_name = "t";
       trig_table = "vendor";
       trig_event = Database.Update;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun ctx -> fired := List.length ctx.Database.inserted);
@@ -158,7 +157,12 @@ let test_errors () =
   Alcotest.(check bool) "fk violation" true
     (bad "INSERT INTO vendor VALUES ('X', 'P9', 1.0)");
   Alcotest.(check bool) "duplicate pk" true
-    (bad "INSERT INTO product VALUES ('P1', 'dup', 'dup')")
+    (bad "INSERT INTO product VALUES ('P1', 'dup', 'dup')");
+  Alcotest.(check (option string)) "integer literal out of range"
+    (Some "integer literal out of range")
+    (match Sql.exec db "SELECT * FROM t WHERE a = 99999999999999999999" with
+    | exception Sql.Error msg -> Some msg
+    | _ -> None)
 
 let test_case_insensitive_keywords () =
   let db = setup () in

@@ -1,9 +1,10 @@
 (* The subscription & delivery subsystem: bounded queues (unit + qcheck
-   invariants), notification rendering and coalescing keys, the hub over a
-   live trigger runtime (callback and file sinks, coalescing windows,
-   unsubscribe), and the Unix-domain-socket server end to end — framed
-   delivery in statement order, ack-cursor redelivery after reconnect, and
-   subscriptions surviving checkpoint + reopen. *)
+   invariants, and under cross-domain contention), notification rendering
+   and coalescing keys, the hub over a live trigger runtime (callback and
+   file sinks, coalescing windows, unsubscribe), and the Unix-domain-socket
+   server end to end — framed delivery in statement order, ack-cursor
+   redelivery after reconnect, and subscriptions surviving checkpoint +
+   reopen. *)
 
 module Squeue = Subscribe.Squeue
 module Notification = Subscribe.Notification
@@ -161,6 +162,50 @@ let qcheck_coalesce_order =
           | Flush -> check_flush ())
         ops
       && check_flush ())
+
+(* --- squeue under contention --- *)
+
+let test_squeue_contention () =
+  let q = Squeue.create ~capacity:64 ~overflow:Squeue.Drop_oldest ~coalesce:true () in
+  let producers = 4 and per = 2_000 in
+  let doms =
+    List.init producers (fun p ->
+        Domain.spawn (fun () ->
+            for i = 0 to per - 1 do
+              ignore (Squeue.push q ~key:(Printf.sprintf "k%d" (i mod 8)) ((p * per) + i))
+            done))
+  in
+  (* race a consumer against the producers; the invariant must hold on
+     every snapshot taken mid-flight *)
+  let drained = ref 0 in
+  for _ = 1 to 200 do
+    drained := !drained + List.length (Squeue.flush q);
+    if not (Squeue.invariant_holds q) then
+      Alcotest.fail "conservation invariant violated under contention"
+  done;
+  List.iter Domain.join doms;
+  drained := !drained + List.length (Squeue.flush q);
+  Alcotest.(check bool) "invariant at quiescence" true (Squeue.invariant_holds q);
+  Alcotest.(check int) "every push accounted" (producers * per) (Squeue.enqueued q);
+  Alcotest.(check int) "conservation: enqueued = delivered + dropped + coalesced"
+    (producers * per)
+    (Squeue.delivered q + Squeue.dropped q + Squeue.coalesced q + Squeue.depth q);
+  Alcotest.(check int) "drained items = delivered counter" (Squeue.delivered q) !drained;
+  Alcotest.(check int) "nothing pending after final flush" 0 (Squeue.depth q)
+
+let test_squeue_drop_newest_contention () =
+  let q = Squeue.create ~capacity:16 ~overflow:Squeue.Drop_newest () in
+  let doms =
+    List.init 3 (fun p ->
+        Domain.spawn (fun () ->
+            for i = 0 to 999 do
+              ignore (Squeue.push q ~key:"" ((p * 1000) + i))
+            done))
+  in
+  List.iter Domain.join doms;
+  Alcotest.(check bool) "invariant after racing producers" true (Squeue.invariant_holds q);
+  Alcotest.(check int) "all pushes counted" 3_000 (Squeue.enqueued q);
+  Alcotest.(check int) "ring never overfilled" 16 (Squeue.depth q)
 
 (* --- notifications --- *)
 
@@ -330,6 +375,43 @@ let test_hub_file_sink () =
       Alcotest.(check bool) "line is a JSON object" true
         (String.length l > 2 && l.[0] = '{' && l.[String.length l - 1] = '}'))
     !lines
+
+(* [start_writer] / [drain_writer] are no-ops: delivery happens inside
+   [flush] whether or not they are called, so a hub that calls them emits
+   exactly the NDJSON line sequence of one that never does. *)
+let test_hub_writer_calls_keep_flush_synchronous () =
+  let run ~writer_calls =
+    let db, _mgr, hub = setup_hub () in
+    let lines = ref [] in
+    Subscribe.add_callback hub (fun n -> lines := Notification.to_ndjson n :: !lines);
+    if writer_calls then Subscribe.start_writer hub;
+    Subscribe.subscribe hub (crt_sub ^ " COALESCE off");
+    Subscribe.subscribe hub "all AFTER UPDATE ON view('catalog')/product";
+    List.iter
+      (fun price ->
+        Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price;
+        let before = List.length !lines in
+        let n = Subscribe.flush hub in
+        Alcotest.(check int) "callback saw every notification when flush returned" n
+          (List.length !lines - before);
+        if writer_calls then Subscribe.drain_writer hub)
+      [ 75.0; 76.0; 77.0 ];
+    List.rev !lines
+  in
+  let plain = run ~writer_calls:false in
+  Alcotest.(check int) "two subscriptions x three writes" 6 (List.length plain);
+  Alcotest.(check (list string)) "same NDJSON line sequence" plain
+    (run ~writer_calls:true)
+
+let test_hub_writer_lifecycle () =
+  let db, _mgr, hub = setup_hub () in
+  Subscribe.start_writer hub;
+  Subscribe.start_writer hub;
+  Subscribe.drain_writer hub;
+  Subscribe.drain_writer hub;
+  Subscribe.subscribe hub crt_sub;
+  Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0;
+  Alcotest.(check int) "flush still delivers" 1 (Subscribe.flush hub)
 
 (* --- socket server end to end --- *)
 
@@ -564,6 +646,15 @@ let () =
           Alcotest.test_case "unsubscribe" `Quick test_hub_unsubscribe_stops_delivery;
           Alcotest.test_case "DDL errors" `Quick test_hub_ddl_errors;
           Alcotest.test_case "file sink" `Quick test_hub_file_sink;
+          Alcotest.test_case "writer calls keep flush synchronous" `Quick
+            test_hub_writer_calls_keep_flush_synchronous;
+          Alcotest.test_case "writer lifecycle idempotent" `Quick
+            test_hub_writer_lifecycle;
+        ] );
+      ( "squeue",
+        [ Alcotest.test_case "conservation under contention" `Quick test_squeue_contention;
+          Alcotest.test_case "drop-newest under contention" `Quick
+            test_squeue_drop_newest_contention;
         ] );
       ( "socket",
         [ Alcotest.test_case "end to end (durable)" `Quick test_socket_end_to_end;

@@ -75,7 +75,6 @@ let capture_ctx db ~table ~event dml =
     { Database.trig_name = "capture!";
       trig_table = table;
       trig_event = event;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun tc -> captured := Some (Ra_eval.ctx_of_trigger tc));
@@ -294,7 +293,6 @@ let test_no_op_update_suppressed () =
     { Database.trig_name = "watch";
       trig_table = "vendor";
       trig_event = Database.Update;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun _ -> incr fired);

@@ -77,7 +77,12 @@ let test_parse_entities_and_selfclose () =
 let test_parse_rejects_mismatched () =
   Alcotest.(check bool) "mismatch" true (Xml_parse.parse_opt "<a><b></a></b>" = None);
   Alcotest.(check bool) "trailing" true (Xml_parse.parse_opt "<a/><b/>" = None);
-  Alcotest.(check bool) "unterminated" true (Xml_parse.parse_opt "<a>" = None)
+  Alcotest.(check bool) "unterminated" true (Xml_parse.parse_opt "<a>" = None);
+  List.iter
+    (fun ref_ ->
+      Alcotest.(check bool) ("character reference " ^ ref_) true
+        (Xml_parse.parse_opt ("<a>" ^ ref_ ^ "</a>") = None))
+    [ "&#-5;"; "&#x;"; "&#1a;"; "&#99999999999999999999999;" ]
 
 let test_parse_declaration () =
   let n = Xml_parse.parse "<?xml version=\"1.0\"?>\n<a/>" in

@@ -144,7 +144,6 @@ let test_eval_pre_binding_sees_old_state () =
     { Database.trig_name = "capture";
       trig_table = "vendor";
       trig_event = Database.Update;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body =
@@ -178,7 +177,6 @@ let test_eval_delta_nabla_bindings () =
     { Database.trig_name = "capture";
       trig_table = "vendor";
       trig_event = Database.Update;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body =
@@ -384,7 +382,6 @@ let prop_old_graph_is_pre_state =
         { Database.trig_name = "capture";
           trig_table = "vendor";
           trig_event = Database.Update;
-          prepare = None;
       relevance = None;
           sql_text = "(test)";
           body =

@@ -305,7 +305,6 @@ let test_compiled_view_affected_nodes () =
     { Database.trig_name = "c";
       trig_table = "vendor";
       trig_event = Database.Insert;
-      prepare = None;
       relevance = None;
       sql_text = "(test)";
       body = (fun tc -> captured := Some (Ra_eval.ctx_of_trigger tc));
