@@ -128,7 +128,11 @@ and group = {
   g_needs_new : bool ref;
   g_node_compare : bool;
   g_plans : table_plan list;
-  mutable g_members : (string (* cid *) * member list) list;  (* keyed by cid *)
+  g_members : (string, member list) Hashtbl.t;
+      (* a constants row's trig_ids -> its members, newest first: the delta
+         plan returns trig_ids, so dispatch is one lookup per kept pair.  A
+         materialized group has no constants table; its one member is keyed
+         by its own name *)
   mutable g_next_cid : int;
   g_consts_index : (string, int * string) Hashtbl.t;
       (* constants vector -> (cid, current trig_ids); avoids rescanning the
@@ -155,8 +159,9 @@ and t = {
   tuning : tuning;
   mutable views : (string * Compile.view) list;
   mutable actions : (string * action) list;  (* name -> callback *)
-  mutable groups : group list;
-  mutable trigger_index : (string * group) list;  (* trigger name -> group *)
+  groups : (string, group) Hashtbl.t;  (* group signature -> group *)
+  trigger_index : (string, entry) Hashtbl.t;  (* trigger name -> entry *)
+  mutable next_trigger_seq : int;
   (* Materialized baseline: one snapshot per (view, path) *)
   mutable snapshots : (string * (string * Xml.t) list ref) list;
   counters : stats;
@@ -192,6 +197,15 @@ and t = {
          can attribute windowed cache deltas *)
 }
 
+(* One armed XML trigger: its group, the key of its constants vector in the
+   group's [g_consts_index] (a materialized group has no constants), and a
+   creation sequence number that orders listings. *)
+and entry = {
+  e_group : group;
+  e_key : string;
+  e_seq : int;
+}
+
 (* Compiled plan templates, shared across groups of this manager with the
    same structure: trigger compile time is paid once per structure, so
    installing 100 000 similar triggers stays cheap. *)
@@ -218,8 +232,9 @@ let create ?(strategy = Grouped_agg) ?(tuning = default_tuning) db =
     tuning;
     views = [];
     actions = [];
-    groups = [];
-    trigger_index = [];
+    groups = Hashtbl.create 16;
+    trigger_index = Hashtbl.create 64;
+    next_trigger_seq = 0;
     snapshots = [];
     counters =
       { sql_firings = 0;
@@ -262,16 +277,24 @@ let record_ddl t ~kind ~name ~payload =
 (* The current logical catalog: the DDL log with dropped entries compacted
    away — a ["drop_<kind>"] record cancels the earlier ["<kind>"] record of
    the same name, for any kind (xmltrigger, subscription, ...).  This is the
-   meta a checkpoint embeds in its snapshot. *)
+   meta a checkpoint embeds in its snapshot.  Linear in the log: [live]
+   maps each (kind, name) to the positions of its uncancelled records. *)
 let current_meta t =
-  List.rev
-    (List.fold_left
-       (fun acc (kind, name, payload) ->
-         if String.length kind > 5 && String.sub kind 0 5 = "drop_" then
-           let dropped = String.sub kind 5 (String.length kind - 5) in
-           List.filter (fun (k, n, _) -> not (k = dropped && n = name)) acc
-         else (kind, name, payload) :: acc)
-       [] (List.rev t.ddl_log))
+  let records = Array.of_list (List.rev t.ddl_log) in
+  let keep = Array.make (Array.length records) true in
+  let live = Hashtbl.create 64 in
+  let positions k = Option.value ~default:[] (Hashtbl.find_opt live k) in
+  Array.iteri
+    (fun i (kind, name, _) ->
+      if String.length kind > 5 && String.sub kind 0 5 = "drop_" then begin
+        let k = (String.sub kind 5 (String.length kind - 5), name) in
+        keep.(i) <- false;
+        List.iter (fun j -> keep.(j) <- false) (positions k);
+        Hashtbl.remove live k
+      end
+      else Hashtbl.replace live (kind, name) (i :: positions (kind, name)))
+    records;
+  List.filteri (fun i _ -> keep.(i)) (Array.to_list records)
 
 (* Layers above the runtime (e.g. the subscription hub) persist their own
    DDL through the runtime's log so it rides the same WAL/checkpoint/replay
@@ -340,7 +363,17 @@ let find_view t name = List.assoc_opt name t.views
 let register_action t ~name action =
   t.actions <- (name, action) :: List.remove_assoc name t.actions
 
-let trigger_names t = List.map fst t.trigger_index
+(* Armed triggers, oldest first. *)
+let triggers_by_seq t =
+  Hashtbl.fold (fun name e acc -> (name, e) :: acc) t.trigger_index []
+  |> List.sort (fun (_, a) (_, b) -> Int.compare a.e_seq b.e_seq)
+
+(* Trigger groups, oldest first. *)
+let groups_by_id t =
+  Hashtbl.fold (fun _ g acc -> g :: acc) t.groups []
+  |> List.sort (fun a b -> Int.compare a.g_id b.g_id)
+
+let trigger_names t = List.rev_map fst (triggers_by_seq t)
 let sql_trigger_count t = Database.trigger_count t.db
 
 let generated_sql t =
@@ -349,7 +382,7 @@ let generated_sql t =
       List.map
         (fun tp -> (Printf.sprintf "group%d/%s" g.g_id tp.tp_table, Lazy.force tp.tp_sql))
         g.g_plans)
-    t.groups
+    (List.rev (groups_by_id t))
 
 (* --- constants extraction (trigger grouping, §5.1) --- *)
 
@@ -575,7 +608,7 @@ let audit_action (r : Obs.Audit.record) m ~outcome ~old_node ~new_node =
 
 let dispatch ?audit ?(stmt_id = 0) t group ~trig_ids ~old_node ~new_node =
   let members =
-    match List.assoc_opt trig_ids group.g_members with
+    match Hashtbl.find_opt group.g_members trig_ids with
     | Some ms -> ms
     | None -> []
   in
@@ -714,8 +747,9 @@ let relevance_summary ~table monitored_op =
   Printf.sprintf "cols={%s} pred=%s" cols pred
 
 let install_sql_triggers t group =
-  (* Windowed series names for this group, allocated once per install so
-     the firing body never formats strings for the observatory. *)
+  (* Windowed series and firing-histogram names for this group, allocated
+     once per install so the firing body never formats strings for the
+     observatory. *)
   let gkey = Printf.sprintf "g%d" group.g_id in
   let w_firings = "firings:" ^ gkey in
   let w_latency = "latency_ns:" ^ gkey in
@@ -725,6 +759,7 @@ let install_sql_triggers t group =
   let w_scan = "scan_rows:" ^ gkey in
   List.iter
     (fun tp ->
+      let h_firing = Printf.sprintf "firing:g%d:%s" group.g_id tp.tp_table in
       let schema = schema_of t tp.tp_table in
       let pk_slots =
         List.map (Schema.col_index schema) schema.Schema.primary_key
@@ -876,9 +911,7 @@ let install_sql_triggers t group =
             rel.Eval.rows;
           let fin = Obs.Trace.now () in
           let dt = Int64.sub fin t0 in
-          Obs.Metrics.observe_in t.histograms
-            (Printf.sprintf "firing:g%d:%s" group.g_id tp.tp_table)
-            dt;
+          Obs.Metrics.observe_in t.histograms h_firing dt;
           (* windowed cost profile for the advisor *)
           let w = Database.window t.db in
           Obs.Window.add w ~now:fin w_firings 1.0;
@@ -1115,8 +1148,10 @@ let create_consts_table t ~name ~consts =
   (* the generated plans probe the constants table by constant value *)
   List.iteri (fun i _ -> Database.create_index t.db ~table:name ~column:(gc_col i)) consts
 
-let add_member_constants t group ~consts ~trig_name =
-  let key = String.concat "\x00" (List.map Value.to_string consts) in
+(* A constants vector's key in [g_consts_index]. *)
+let consts_key consts = String.concat "\x00" (List.map Value.to_string consts)
+
+let add_member_constants t group ~key ~consts ~trig_name =
   match Hashtbl.find_opt group.g_consts_index key with
   | Some (cid, old_ids) ->
     let new_ids = old_ids ^ "," ^ trig_name in
@@ -1384,9 +1419,14 @@ let cond_skeleton s =
   done;
   Buffer.contents b
 
+let register_trigger t name group ~key =
+  Hashtbl.replace t.trigger_index name
+    { e_group = group; e_key = key; e_seq = t.next_trigger_seq };
+  t.next_trigger_seq <- t.next_trigger_seq + 1
+
 let create_trigger_internal t text =
   let tr = try Trigger.parse text with Trigger.Parse_error msg -> fail "%s" msg in
-  if List.mem_assoc tr.Trigger.name t.trigger_index then
+  if Hashtbl.mem t.trigger_index tr.Trigger.name then
     fail "trigger %S already exists" tr.Trigger.name;
   List.iter validate_arg tr.Trigger.args;
   if not (List.mem_assoc tr.Trigger.action t.actions) then
@@ -1436,6 +1476,9 @@ let create_trigger_internal t text =
   if strat = Materialized then begin
     install_materialized t ~gid:t.next_group tr view_name m;
     (* materialized triggers are not grouped; track them in a singleton *)
+    let g_members = Hashtbl.create 1 in
+    Hashtbl.add g_members tr.Trigger.name
+      [ { m_trigger = tr; m_fallback_cond = None; m_args = tr.Trigger.args } ];
     let group =
       { g_id = t.next_group;
         g_signature = "materialized:" ^ tr.Trigger.name;
@@ -1446,7 +1489,7 @@ let create_trigger_internal t text =
         g_needs_new = ref true;
         g_node_compare = false;
         g_plans = [];
-        g_members = [];
+        g_members;
         g_next_cid = 0;
         g_consts_index = Hashtbl.create 1;
         g_monitored = m;
@@ -1457,8 +1500,8 @@ let create_trigger_internal t text =
       }
     in
     t.next_group <- t.next_group + 1;
-    t.groups <- group :: t.groups;
-    t.trigger_index <- (tr.Trigger.name, group) :: t.trigger_index
+    Hashtbl.replace t.groups group.g_signature group;
+    register_trigger t tr.Trigger.name group ~key:""
   end
   else begin
     (* Condition analysis, in decreasing order of pushdown power:
@@ -1540,7 +1583,7 @@ let create_trigger_internal t text =
     in
     let needs_new = tr.Trigger.event <> Database.Delete in
     let group =
-      match List.find_opt (fun g -> g.g_signature = group_sig) t.groups with
+      match Hashtbl.find_opt t.groups group_sig with
       | Some g -> g
       | None ->
         (* first member: build (or reuse) the plan template and install *)
@@ -1583,7 +1626,7 @@ let create_trigger_internal t text =
             g_needs_new = ref false;
             g_node_compare = tmpl.tmpl_node_compare;
             g_plans = plans;
-            g_members = [];
+            g_members = Hashtbl.create 8;
             g_next_cid = 0;
             g_consts_index = Hashtbl.create 64;
             g_monitored = m;
@@ -1596,19 +1639,25 @@ let create_trigger_internal t text =
             g_cohort = cohort;
           }
         in
-        t.groups <- g :: t.groups;
+        Hashtbl.replace t.groups group_sig g;
         install_sql_triggers t g;
         g
     in
     if needs_old then group.g_needs_old := true;
     if needs_new then group.g_needs_new := true;
+    let key = consts_key consts in
     let new_ids, old_ids =
-      add_member_constants t group ~consts ~trig_name:tr.Trigger.name
+      add_member_constants t group ~key ~consts ~trig_name:tr.Trigger.name
     in
-    let existing = match List.assoc_opt old_ids group.g_members with Some ms -> ms | None -> [] in
-    group.g_members <-
-      (new_ids, member :: existing) :: List.remove_assoc old_ids group.g_members;
-    t.trigger_index <- (tr.Trigger.name, group) :: t.trigger_index
+    let existing =
+      match Hashtbl.find_opt group.g_members old_ids with
+      | Some ms ->
+        Hashtbl.remove group.g_members old_ids;
+        ms
+      | None -> []
+    in
+    Hashtbl.replace group.g_members new_ids (member :: existing);
+    register_trigger t tr.Trigger.name group ~key
   end;
   tr.Trigger.name
 
@@ -1632,65 +1681,51 @@ let remove_from_ids ids name =
    trig_ids names it alone disappears; a row shared with other triggers is
    rewritten without it.  Without this, unsubscribe/resubscribe churn under
    GROUPED leaks one constants row (and one index entry) per cycle — and a
-   leaked row keeps firing plans for a trigger that no longer exists. *)
-let remove_member_constants t group ~name ~old_ids =
-  if group.g_consts_table <> "" then
-    let hit =
-      Hashtbl.fold
-        (fun key (cid, ids) acc -> if ids = old_ids then Some (key, cid) else acc)
-        group.g_consts_index None
-    in
-    match hit with
-    | None -> ()
-    | Some (key, cid) ->
-      let new_ids = remove_from_ids old_ids name in
-      if new_ids = "" then begin
-        ignore
-          (Database.delete_pk t.db ~table:group.g_consts_table
-             ~pk:[ Value.Int cid ]);
-        Hashtbl.remove group.g_consts_index key
-      end
-      else begin
-        ignore
-          (Database.update_pk t.db ~table:group.g_consts_table
-             ~pk:[ Value.Int cid ]
-             ~set:(fun r ->
-               let r = Array.copy r in
-               r.(1) <- Value.String new_ids;
-               r));
-        Hashtbl.replace group.g_consts_index key (cid, new_ids)
-      end
+   leaked row keeps firing plans for a trigger that no longer exists.
+   Returns the row's trig_ids before and after the drop ("" once the row is
+   gone); a materialized trigger has no row and is keyed by its own name. *)
+let remove_member_constants t group ~key ~name =
+  match Hashtbl.find_opt group.g_consts_index key with
+  | None -> (name, "")
+  | Some (cid, old_ids) ->
+    let new_ids = remove_from_ids old_ids name in
+    if new_ids = "" then begin
+      ignore
+        (Database.delete_pk t.db ~table:group.g_consts_table
+           ~pk:[ Value.Int cid ]);
+      Hashtbl.remove group.g_consts_index key
+    end
+    else begin
+      ignore
+        (Database.update_pk t.db ~table:group.g_consts_table
+           ~pk:[ Value.Int cid ]
+           ~set:(fun r ->
+             let r = Array.copy r in
+             r.(1) <- Value.String new_ids;
+             r));
+      Hashtbl.replace group.g_consts_index key (cid, new_ids)
+    end;
+    (old_ids, new_ids)
 
 let drop_trigger ?(log = true) t name =
-  match List.assoc_opt name t.trigger_index with
+  match Hashtbl.find_opt t.trigger_index name with
   | None -> ()
-  | Some group ->
+  | Some { e_group = group; e_key = key; _ } ->
     if log then record_ddl t ~kind:"drop_xmltrigger" ~name ~payload:"";
-    t.trigger_index <- List.remove_assoc name t.trigger_index;
+    Hashtbl.remove t.trigger_index name;
     (* constants bookkeeping happens inside without_logging for the same
        reason as in create_trigger: it is re-derived state, not user data *)
     Database.without_logging t.db (fun () ->
-        (match
-           List.find_opt
-             (fun (_, ms) ->
-               List.exists (fun m -> m.m_trigger.Trigger.name = name) ms)
-             group.g_members
-         with
-        | Some (old_ids, _) -> remove_member_constants t group ~name ~old_ids
-        | None -> ());
-        group.g_members <-
-          List.filter_map
-            (fun (ids, ms) ->
-              let ms' =
-                List.filter (fun m -> m.m_trigger.Trigger.name <> name) ms
-              in
-              if ms' == ms then Some (ids, ms)
-              else if ms' = [] then None
-              else Some (remove_from_ids ids name, ms'))
-            group.g_members);
-    (* Materialized triggers installed their SQL triggers under their own
-       name; grouped ones share the group's. *)
-    if group.g_members = [] then begin
+        let old_ids, new_ids = remove_member_constants t group ~key ~name in
+        match Hashtbl.find_opt group.g_members old_ids with
+        | None -> ()
+        | Some ms -> (
+          Hashtbl.remove group.g_members old_ids;
+          match List.filter (fun m -> m.m_trigger.Trigger.name <> name) ms with
+          | [] -> ()
+          | rest -> Hashtbl.replace group.g_members new_ids rest));
+    (* the last member takes the group's SQL triggers with it *)
+    if Hashtbl.length group.g_members = 0 then begin
       List.iter
         (fun tp ->
           List.iter
@@ -1714,17 +1749,20 @@ let drop_trigger ?(log = true) t name =
           Obs.Window.remove (Database.window t.db)
             (Printf.sprintf "%s:g%d" pfx group.g_id))
         [ "firings"; "latency_ns"; "pairs"; "kept"; "spurious"; "scan_rows" ];
-      t.groups <- List.filter (fun g -> g.g_id <> group.g_id) t.groups
+      Hashtbl.remove t.groups group.g_signature
     end;
-    List.iter
-      (fun tbl ->
-        List.iter
-          (fun ev ->
-            Database.drop_trigger t.db
-              (Printf.sprintf "xmltrig$mat$%s$%s$%s" name tbl
-                 (Database.string_of_event ev)))
-          [ Database.Insert; Database.Update; Database.Delete ])
-      (Database.table_names t.db);
+    (* materialized triggers installed their SQL triggers under their own
+       name; only they need this per-table sweep *)
+    if group.g_strategy = Materialized then
+      List.iter
+        (fun tbl ->
+          List.iter
+            (fun ev ->
+              Database.drop_trigger t.db
+                (Printf.sprintf "xmltrig$mat$%s$%s$%s" name tbl
+                   (Database.string_of_event ev)))
+            [ Database.Insert; Database.Update; Database.Delete ])
+        (Database.table_names t.db);
     (* the dropped trigger's own latency histogram goes too — but the drop
        is still visible: [triggers_dropped] explains the vanished series
        to anything scraping the registry *)
@@ -1934,14 +1972,14 @@ let trace_chrome_json t =
       (Obs.Audit.chrome_instants (Database.audit t.db) @ t.reco_instants)
     (Database.tracer t.db)
 
-(* Grouped members live in g_members; materialized triggers only in the
-   trigger index — merge both. *)
-let group_trigger_names t g =
-  List.concat_map
-    (fun (_, ms) -> List.map (fun m -> m.m_trigger.Trigger.name) ms)
-    g.g_members
-  @ List.filter_map (fun (n, g') -> if g' == g then Some n else None) t.trigger_index
-  |> List.sort_uniq compare
+(* A group's trigger names, sorted. *)
+let group_trigger_names g =
+  Hashtbl.fold
+    (fun _ ms acc -> List.fold_left (fun acc m -> m.m_trigger.Trigger.name :: acc) acc ms)
+    g.g_members []
+  |> List.sort compare
+
+let group_size g = Hashtbl.fold (fun _ ms n -> n + List.length ms) g.g_members 0
 
 let plan_mode t tp =
   match tp.tp_exec, tp.tp_shred with
@@ -1953,7 +1991,7 @@ let plan_mode t tp =
 
 let explain t =
   let buf = Buffer.create 1024 in
-  let groups = List.sort (fun a b -> compare a.g_id b.g_id) t.groups in
+  let groups = groups_by_id t in
   if groups = [] then Buffer.add_string buf "(no triggers installed)\n";
   List.iter
     (fun g ->
@@ -1963,7 +2001,7 @@ let explain t =
            (Database.string_of_event g.g_event)
            g.g_view);
       Buffer.add_string buf
-        (Printf.sprintf "triggers: %s\n" (String.concat ", " (group_trigger_names t g)));
+        (Printf.sprintf "triggers: %s\n" (String.concat ", " (group_trigger_names g)));
       if g.g_strategy = Materialized then begin
         Buffer.add_string buf
           "plan: MATERIALIZED baseline -- recompute the monitored level and \
@@ -1993,12 +2031,12 @@ let explain t =
   Buffer.contents buf
 
 let explain_json t =
-  let groups = List.sort (fun a b -> compare a.g_id b.g_id) t.groups in
+  let groups = groups_by_id t in
   let esc = Obs.Metrics.json_escape in
   let group_json g =
     let triggers =
       String.concat ", "
-        (List.map (fun n -> "\"" ^ esc n ^ "\"") (group_trigger_names t g))
+        (List.map (fun n -> "\"" ^ esc n ^ "\"") (group_trigger_names g))
     in
     let tables =
       String.concat ", "
@@ -2136,7 +2174,7 @@ type recommendation = {
 let model_cohort t groups =
   let members =
     List.fold_left
-      (fun acc g -> acc + List.length (group_trigger_names t g))
+      (fun acc g -> acc + group_size g)
       0 groups
   in
   let m = float_of_int (max 1 members) in
@@ -2167,7 +2205,7 @@ let model_cohort t groups =
     let count s =
       List.fold_left
         (fun acc g ->
-          if g.g_strategy = s then acc + List.length (group_trigger_names t g)
+          if g.g_strategy = s then acc + group_size g
           else acc)
         0 groups
     in
@@ -2279,24 +2317,23 @@ let note_reco t name reco =
   end
 
 let recommendations t =
-  (* cohorts in first-creation order *)
+  (* each cohort's groups, oldest first *)
   let cohorts = Hashtbl.create 16 in
-  let order = ref [] in
   List.iter
     (fun g ->
-      match Hashtbl.find_opt cohorts g.g_cohort with
-      | Some gs -> Hashtbl.replace cohorts g.g_cohort (g :: gs)
-      | None ->
-        Hashtbl.add cohorts g.g_cohort [ g ];
-        order := g.g_cohort :: !order)
-    t.groups;
+      let gs = Option.value ~default:[] (Hashtbl.find_opt cohorts g.g_cohort) in
+      Hashtbl.replace cohorts g.g_cohort (g :: gs))
+    (List.rev (groups_by_id t));
   let models = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun key gs -> Hashtbl.replace models key (model_cohort t gs))
+    (fun key gs ->
+      let ((_, _, merged, _, _, _, _) as model) = model_cohort t gs in
+      Hashtbl.replace models key (model, frag_advice t gs merged.ob_rate))
     cohorts;
-  List.rev t.trigger_index
-  |> List.map (fun (name, g) ->
-         let members, current, merged, observed_total, modeled, reco, reason =
+  triggers_by_seq t
+  |> List.map (fun (name, e) ->
+         let g = e.e_group in
+         let (members, current, merged, observed_total, modeled, reco, reason), frags =
            Hashtbl.find models g.g_cohort
          in
          note_reco t name reco;
@@ -2309,10 +2346,7 @@ let recommendations t =
            r_modeled_ns = modeled;
            r_rate = merged.ob_rate;
            r_observed = merged;
-           r_frags =
-             frag_advice t
-               (Hashtbl.find_all cohorts g.g_cohort |> List.concat)
-               merged.ob_rate;
+           r_frags = frags;
            r_reason =
              (if g.g_strategy <> current then
                 "cohort dominated by " ^ strategy_to_string current ^ "; "
@@ -2435,7 +2469,7 @@ let set_strategy_override t name strat =
   Hashtbl.replace t.strategy_overrides name strat
 
 let trigger_strategy t name =
-  Option.map (fun g -> g.g_strategy) (List.assoc_opt name t.trigger_index)
+  Option.map (fun e -> e.e_group.g_strategy) (Hashtbl.find_opt t.trigger_index name)
 
 let tune ?trigger t =
   let recos = recommendations t in

@@ -743,7 +743,13 @@ let create_trigger t trigger =
   else b.b_plain_rev <- e :: b.b_plain_rev
 
 let drop_trigger t name =
-  match List.find_opt (fun tr -> tr.trig_name = name) t.triggers_rev with
+  (* an unknown name is answered from the name table, without walking the
+     catalog *)
+  match
+    if Hashtbl.mem t.trig_names name then
+      List.find_opt (fun tr -> tr.trig_name = name) t.triggers_rev
+    else None
+  with
   | None -> ()
   | Some tr ->
     Hashtbl.remove t.trig_names name;

@@ -481,6 +481,36 @@ let test_drop_trigger_survives_reopen () =
   Alcotest.(check (list string)) "only the surviving trigger" [ "keepme" ]
     (Trigview.Runtime.trigger_names r.Trigview.Runtime.runtime)
 
+(* Checkpoint compaction: a drop cancels only the records before it, so
+   create -> drop -> create of one name keeps exactly the re-created record,
+   in creation order among the survivors. *)
+let test_checkpoint_meta_recreate () =
+  let dir = fresh_dir "meta_recreate" in
+  let db = Database.create () in
+  Database.create_table db (product_schema ());
+  let mgr = Trigview.Runtime.create db in
+  Trigview.Runtime.define_view mgr ~name:"doc" tiny_view;
+  Trigview.Runtime.register_action mgr ~name:"note" (fun _ -> ());
+  Trigview.Runtime.attach_durability mgr ~data_dir:dir;
+  let mk name ev =
+    Printf.sprintf "CREATE TRIGGER %s AFTER %s ON view('doc')/p DO note(NEW_NODE)" name ev
+  in
+  Trigview.Runtime.create_trigger mgr (mk "t" "UPDATE");
+  Trigview.Runtime.create_trigger mgr (mk "u" "UPDATE");
+  Trigview.Runtime.drop_trigger mgr "t";
+  Trigview.Runtime.create_trigger mgr (mk "t" "INSERT");
+  Trigview.Runtime.checkpoint mgr;
+  let r = Trigview.Runtime.reopen ~actions:[ ("note", fun _ -> ()) ] ~data_dir:dir () in
+  Alcotest.(check (list (triple string string string)))
+    "catalog after checkpoint"
+    [ ("view", "doc", tiny_view);
+      ("xmltrigger", "u", mk "u" "UPDATE");
+      ("xmltrigger", "t", mk "t" "INSERT");
+    ]
+    r.Trigview.Runtime.recovery.Recovery.meta;
+  Alcotest.(check (list string)) "both triggers re-armed, newest first" [ "t"; "u" ]
+    (Trigview.Runtime.trigger_names r.Trigview.Runtime.runtime)
+
 let () =
   Alcotest.run "durability"
     [ ( "codec",
@@ -522,5 +552,7 @@ let () =
             test_reopen_missing_action_reported;
           Alcotest.test_case "dropped trigger stays dropped" `Quick
             test_drop_trigger_survives_reopen;
+          Alcotest.test_case "checkpoint keeps a re-created record" `Quick
+            test_checkpoint_meta_recreate;
         ] );
     ]

@@ -529,6 +529,185 @@ let test_drop_trigger_constants_hygiene () =
   Alcotest.(check int) "churn leaves no SQL triggers" 0
     (Trigview.Runtime.sql_trigger_count mgr)
 
+(* --- the trigger registry: member order, listing order, churn --- *)
+
+let consts_rows db =
+  List.concat_map
+    (fun n ->
+      if String.length n >= 10 && String.sub n 0 10 = "trigconsts" then
+        Table.to_rows (Database.get_table db n)
+      else [])
+    (Database.table_names db)
+
+let trig_ids_of row =
+  match row.(1) with Value.String s -> s | v -> Alcotest.failf "trig_ids %s" (Value.to_string v)
+
+(* Dropping the middle member of a shared constants row rewrites its
+   trig_ids and keeps the others' dispatch order. *)
+let test_drop_middle_member () =
+  let db = Fixtures.mk_db () in
+  let mgr = Trigview.Runtime.create ~strategy:Trigview.Runtime.Grouped db in
+  Trigview.Runtime.define_view mgr ~name:"catalog" catalog_text;
+  let log = ref [] in
+  Trigview.Runtime.register_action mgr ~name:"notify" (fun fi ->
+      log := fi.Trigview.Runtime.fi_trigger :: !log);
+  List.iter
+    (fun name ->
+      Trigview.Runtime.create_trigger mgr
+        (Printf.sprintf
+           "CREATE TRIGGER %s AFTER UPDATE ON view('catalog')/product WHERE \
+            NEW_NODE/@name = 'CRT 15' DO notify(NEW_NODE)"
+           name))
+    [ "a"; "b"; "c" ];
+  Alcotest.(check (list string)) "one shared row" [ "a,b,c" ]
+    (List.map trig_ids_of (consts_rows db));
+  Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0;
+  let before = List.rev !log in
+  Alcotest.(check (list string)) "newest member dispatched first" [ "c"; "b"; "a" ] before;
+  Trigview.Runtime.drop_trigger mgr "b";
+  Alcotest.(check (list string)) "row rewritten without b" [ "a,c" ]
+    (List.map trig_ids_of (consts_rows db));
+  log := [];
+  Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:76.0;
+  Alcotest.(check (list string)) "dispatch order unchanged" [ "c"; "a" ] (List.rev !log)
+
+let test_trigger_names_newest_first () =
+  let _, mgr, _ = setup ~strategy:Trigview.Runtime.Grouped () in
+  let mk name =
+    Printf.sprintf
+      "CREATE TRIGGER %s AFTER UPDATE ON view('catalog')/product DO notify(NEW_NODE)" name
+  in
+  List.iter (fun n -> Trigview.Runtime.create_trigger mgr (mk n)) [ "x"; "y"; "z" ];
+  Alcotest.(check (list string)) "newest first" [ "z"; "y"; "x" ]
+    (Trigview.Runtime.trigger_names mgr);
+  Trigview.Runtime.drop_trigger mgr "y";
+  Trigview.Runtime.create_trigger mgr (mk "y");
+  Alcotest.(check (list string)) "re-created trigger is newest" [ "y"; "z"; "x" ]
+    (Trigview.Runtime.trigger_names mgr)
+
+(* Churn differential over a small Table 2 database: a random history of
+   creates and drops (each step toggles one trigger of a fixed pool, so
+   re-creation is common) must leave a runtime that fires exactly like a
+   fresh one armed with only the survivors, in their creation order.  The
+   pool shares constants vectors: c0/c2/c4 watch name0, c1/c3 name1 (plain
+   family); c5/c7 watch (name1, count >= 1), c6 (name0, count >= 1). *)
+
+module Workload = Workloadlib.Workload
+
+let churn_params =
+  { Workload.depth = 3; leaf_tuples = 96; fanout = 8; num_triggers = 0; num_satisfied = 0 }
+
+let pool_size = 8
+
+(* the test's own name for a trigger's constants vector *)
+let pool_key i = if i < 5 then Printf.sprintf "A/name%d" (i mod 2) else Printf.sprintf "B/name%d" (i mod 2)
+
+let pool_text i =
+  if i < 5 then
+    Printf.sprintf
+      "CREATE TRIGGER c%d AFTER UPDATE ON view('doc')/e1 WHERE NEW_NODE/@name = 'name%d' \
+       DO record(NEW_NODE)"
+      i (i mod 2)
+  else
+    Printf.sprintf
+      "CREATE TRIGGER c%d AFTER UPDATE ON view('doc')/e1 WHERE NEW_NODE/@name = 'name%d' \
+       and count(NEW_NODE/e2) >= 1 DO record(NEW_NODE)"
+      i (i mod 2)
+
+(* survivors of a toggle history, oldest (last) creation first *)
+let survivors history =
+  List.fold_left
+    (fun armed i -> if List.mem i armed then List.filter (( <> ) i) armed else armed @ [ i ])
+    [] history
+
+(* Arms the history (or just [armed]), then runs a fixed DML script; returns
+   each statement's firings, sorted, and the constants rows' trig_ids. *)
+let churn_run ~strategy ops =
+  let built = Workload.build churn_params in
+  let db = built.Workload.db in
+  let mgr = Trigview.Runtime.create ~strategy db in
+  Trigview.Runtime.define_view mgr ~name:"doc" built.Workload.view_text;
+  let fired = ref [] in
+  Trigview.Runtime.register_action mgr ~name:"record" (fun fi ->
+      fired :=
+        ( fi.Trigview.Runtime.fi_trigger,
+          Option.map (Xmlkit.Xml.to_string ~canonical:true) fi.Trigview.Runtime.fi_new )
+        :: !fired);
+  let armed = Hashtbl.create 8 in
+  List.iter
+    (fun i ->
+      if Hashtbl.mem armed i then begin
+        Trigview.Runtime.drop_trigger mgr (Printf.sprintf "c%d" i);
+        Hashtbl.remove armed i
+      end
+      else begin
+        Trigview.Runtime.create_trigger mgr (pool_text i);
+        Hashtbl.replace armed i ()
+      end)
+    ops;
+  let rename top name =
+    ignore
+      (Database.update_pk db ~table:"t1"
+         ~pk:[ Value.String (Printf.sprintf "t1r%d" top) ]
+         ~set:(fun r -> [| r.(0); Value.String name |]))
+  in
+  let script =
+    [ (fun () -> Workload.update_leaf built ~top_index:0 ~step:1);
+      (fun () -> Workload.update_leaf built ~top_index:1 ~step:2);
+      (fun () -> Workload.update_leaf built ~top_index:2 ~step:3);
+      (fun () -> rename 0 "name1");
+      (fun () -> rename 0 "name0");
+    ]
+  in
+  let log =
+    List.map
+      (fun stmt ->
+        fired := [];
+        stmt ();
+        List.sort compare !fired)
+      script
+  in
+  (log, List.sort compare (List.map trig_ids_of (consts_rows db)))
+
+let churn_strategies =
+  [ Trigview.Runtime.Grouped; Trigview.Runtime.Grouped_agg; Trigview.Runtime.Ungrouped;
+    Trigview.Runtime.Materialized ]
+
+let prop_churn_differential =
+  QCheck.Test.make ~name:"churned registry = fresh registry of the survivors" ~count:15
+    (QCheck.make
+       ~print:QCheck.Print.(list int)
+       QCheck.Gen.(list_size (int_range 1 24) (int_range 0 (pool_size - 1))))
+    (fun history ->
+      let alive = survivors history in
+      let name i = Printf.sprintf "c%d" i in
+      List.for_all
+        (fun strategy ->
+          let log, rows = churn_run ~strategy history in
+          let fresh_log, fresh_rows = churn_run ~strategy alive in
+          (* one row per distinct surviving vector (per trigger when
+             ungrouped), naming its survivors in creation order *)
+          let expected_rows =
+            match strategy with
+            | Trigview.Runtime.Materialized -> []
+            | Trigview.Runtime.Ungrouped -> List.sort compare (List.map name alive)
+            | _ ->
+              List.sort_uniq compare (List.map pool_key alive)
+              |> List.map (fun k ->
+                     String.concat ","
+                       (List.map name (List.filter (fun i -> pool_key i = k) alive)))
+              |> List.sort compare
+          in
+          if log <> fresh_log then
+            QCheck.Test.fail_reportf "%s: firing log differs from a fresh runtime"
+              (Trigview.Runtime.strategy_to_string strategy);
+          if rows <> expected_rows || fresh_rows <> expected_rows then
+            QCheck.Test.fail_reportf "%s: constants rows [%s], expected [%s]"
+              (Trigview.Runtime.strategy_to_string strategy)
+              (String.concat " | " rows) (String.concat " | " expected_rows);
+          true)
+        churn_strategies)
+
 let test_trigger_parser_errors () =
   let bad s =
     match Trigview.Trigger.parse s with
@@ -580,5 +759,12 @@ let () =
           Alcotest.test_case "literal action args" `Quick test_literal_action_args;
           Alcotest.test_case "drop-trigger constants hygiene" `Quick
             test_drop_trigger_constants_hygiene;
+        ] );
+      ( "registry",
+        [ Alcotest.test_case "drop middle member of a shared row" `Quick
+            test_drop_middle_member;
+          Alcotest.test_case "trigger_names newest first" `Quick
+            test_trigger_names_newest_first;
+          QCheck_alcotest.to_alcotest prop_churn_differential;
         ] );
     ]

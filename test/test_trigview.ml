@@ -413,9 +413,14 @@ let apply_dml db op ~on_fire =
   match op with
   | Upd_price (i, price) ->
     let vs = vendors () in
-    if vs = [] then None
-    else begin
-      let victim = List.nth vs (i mod List.length vs) in
+    let victim = if vs = [] then None else Some (List.nth vs (i mod List.length vs)) in
+    (match victim with
+    | None -> None
+    | Some victim when Value.equal victim.(2) (v_float price) ->
+      (* a same-price update changes nothing and is dropped before any
+         trigger fires: there is no statement to check *)
+      None
+    | Some victim ->
       let tctx =
         capture_ctx db ~table:"vendor" ~event:Database.Update (fun () ->
             ignore
@@ -424,8 +429,7 @@ let apply_dml db op ~on_fire =
                  ~set:(fun r -> [| r.(0); r.(1); v_float price |])))
       in
       on_fire tctx;
-      Some ()
-    end
+      Some ())
   | Ins_vendor (v, p, price) ->
     let vid = Printf.sprintf "V%d" v in
     let pid = Printf.sprintf "P%d" (1 + (p mod 3)) in
