@@ -68,9 +68,9 @@ let help_text =
   add VID PID AMOUNT          add a vendor offer
   remove VID PID              remove a vendor offer
   product PID NAME MFR        add a product
-  stats                       runtime statistics: counters, scan rows, probe
-                              counts, latency histograms, durability timings
-  stats-json                  the same as one JSON object
+  stats                       every runtime metric family as aligned text
+  stats-json                  the same families as JSON, plus the
+                              observatory and explain
   explain                     annotated plan per trigger group: compiled vs
                               interpreted, join choices, last-run cardinalities
   explain-json                the same as JSON
@@ -104,9 +104,9 @@ let help_text =
   explain-update STMT         print the translated base DML and the injectivity /
                               safety verdict without executing
   update-strategy VIEW S      ambiguity strategy for VIEW: reject | first | all
-  metrics-prom                counters + latency histograms in Prometheus
-                              text exposition format (includes subscription
-                              delivery metrics)
+  metrics-prom                runtime, hub and (once serving) HTTP families
+                              in Prometheus text format, as GET /metrics
+                              serves them
   checkpoint                  snapshot the database and truncate the WAL
   subscribe NAME AFTER EV ON PATH [WHERE C] [QUEUE n] [OVERFLOW p] [COALESCE on]
                               register a change-feed subscription over the view
@@ -302,10 +302,7 @@ let run strategy script data_dir trace audit socket http no_independence =
            match int_of_string_opt id with
            | Some id -> print_string (Runtime.why mgr id)
            | None -> Printf.printf "usage: why <firing id>\n")
-         | [ "metrics-prom" ] ->
-           print_string (Runtime.metrics_prometheus mgr);
-           print_string (Hub.metrics_prometheus hub);
-           Option.iter (fun a -> print_string (Api.metrics_prometheus a)) !api
+         | [ "metrics-prom" ] -> print_string (Api.all_metrics ?api:!api mgr hub)
          | "subscribe" :: _ ->
            Hub.subscribe hub (String.sub line 10 (String.length line - 10));
            Printf.printf "subscribed; %d SQL triggers now registered\n"

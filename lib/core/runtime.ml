@@ -42,19 +42,19 @@ type firing = {
 type action = firing -> unit
 
 type stats = {
-  mutable sql_firings : int;
-  mutable rows_computed : int;
-  mutable actions_dispatched : int;
-  mutable plans_compiled : int;
-  mutable compiled_execs : int;
-  mutable build_cache_hits : int;
-  mutable build_cache_misses : int;
-  mutable prefilter_skips : int;
+  sql_firings : int;
+  rows_computed : int;
+  actions_dispatched : int;
+  plans_compiled : int;
+  compiled_execs : int;
+  build_cache_hits : int;
+  build_cache_misses : int;
+  prefilter_skips : int;
       (* SQL triggers never examined thanks to the (table, event) index *)
-  mutable independence_skips : int;
+  independence_skips : int;
       (* SQL triggers inside an activated bucket that the static relevance
          signature proved independent of the statement *)
-  mutable triggers_dropped : int;
+  triggers_dropped : int;
       (* XML triggers dropped over the runtime's lifetime; their telemetry
          series are unregistered on drop, so this counter is what keeps
          Prometheus scrapes from seeing series vanish unexplained *)
@@ -164,7 +164,12 @@ and t = {
   mutable next_trigger_seq : int;
   (* Materialized baseline: one snapshot per (view, path) *)
   mutable snapshots : (string * (string * Xml.t) list ref) list;
-  counters : stats;
+  (* the runtime's own counters; [stats] reads the rest from their owners
+     (the Ra_compile record, the database's firing path) *)
+  mutable n_firings : int;  (* SQL trigger activations *)
+  mutable n_rows : int;  (* (OLD, NEW) pairs produced by the plans *)
+  mutable n_dispatched : int;
+  mutable n_dropped : int;  (* lifetime: [reset_stats] keeps it *)
   ra_counters : Relkit.Ra_compile.counters;
   frag_memo : Pushdown.frag_memo;
       (* fragment engines shared across all compiled trigger groups *)
@@ -236,18 +241,10 @@ let create ?(strategy = Grouped_agg) ?(tuning = default_tuning) db =
     trigger_index = Hashtbl.create 64;
     next_trigger_seq = 0;
     snapshots = [];
-    counters =
-      { sql_firings = 0;
-        rows_computed = 0;
-        actions_dispatched = 0;
-        plans_compiled = 0;
-        compiled_execs = 0;
-        build_cache_hits = 0;
-        build_cache_misses = 0;
-        prefilter_skips = 0;
-        independence_skips = 0;
-        triggers_dropped = 0;
-      };
+    n_firings = 0;
+    n_rows = 0;
+    n_dispatched = 0;
+    n_dropped = 0;
     ra_counters = Relkit.Ra_compile.create_counters ();
     frag_memo = Pushdown.create_frag_memo ();
     scan_stats = Ra_eval.create_scan_stats ();
@@ -307,34 +304,26 @@ let database t = t.db
 let strategy t = t.strat
 
 let stats t =
-  (* the execution-layer counters live in the Ra_compile record shared by
-     all compiled plans of this manager; mirror them on read *)
-  t.counters.plans_compiled <- t.ra_counters.Relkit.Ra_compile.plans_compiled;
-  t.counters.compiled_execs <- t.ra_counters.Relkit.Ra_compile.compiled_execs;
-  t.counters.build_cache_hits <- t.ra_counters.Relkit.Ra_compile.build_cache_hits;
-  t.counters.build_cache_misses <- t.ra_counters.Relkit.Ra_compile.build_cache_misses;
-  (* the prefilter and independence counters live in the database's firing
-     path; mirror on read *)
-  t.counters.prefilter_skips <- Database.trigger_skips t.db;
-  t.counters.independence_skips <- Database.independence_skips t.db;
-  t.counters
+  let ra = t.ra_counters in
+  { sql_firings = t.n_firings;
+    rows_computed = t.n_rows;
+    actions_dispatched = t.n_dispatched;
+    plans_compiled = ra.Relkit.Ra_compile.plans_compiled;
+    compiled_execs = ra.Relkit.Ra_compile.compiled_execs;
+    build_cache_hits = ra.Relkit.Ra_compile.build_cache_hits;
+    build_cache_misses = ra.Relkit.Ra_compile.build_cache_misses;
+    prefilter_skips = Database.trigger_skips t.db;
+    independence_skips = Database.independence_skips t.db;
+    triggers_dropped = t.n_dropped;
+  }
 
 let reset_stats t =
-  t.counters.sql_firings <- 0;
-  t.counters.rows_computed <- 0;
-  t.counters.actions_dispatched <- 0;
-  t.counters.plans_compiled <- 0;
-  t.counters.compiled_execs <- 0;
-  t.counters.build_cache_hits <- 0;
-  t.counters.build_cache_misses <- 0;
-  t.counters.prefilter_skips <- 0;
-  t.counters.independence_skips <- 0;
+  t.n_firings <- 0;
+  t.n_rows <- 0;
+  t.n_dispatched <- 0;
   Database.reset_trigger_skips t.db;
   Database.reset_independence_skips t.db;
-  t.ra_counters.Relkit.Ra_compile.plans_compiled <- 0;
-  t.ra_counters.Relkit.Ra_compile.compiled_execs <- 0;
-  t.ra_counters.Relkit.Ra_compile.build_cache_hits <- 0;
-  t.ra_counters.Relkit.Ra_compile.build_cache_misses <- 0
+  Relkit.Ra_compile.reset_counters t.ra_counters
 
 (* Scan accounting over all plan executions of this manager (interpreted
    and compiled), per source; tests assert no-full-scan properties here. *)
@@ -634,7 +623,7 @@ let dispatch ?audit ?(stmt_id = 0) t group ~trig_ids ~old_node ~new_node =
         audit_action r m ~outcome ~old_node ~new_node
       | None -> ());
       if passes then begin
-        t.counters.actions_dispatched <- t.counters.actions_dispatched + 1;
+        t.n_dispatched <- t.n_dispatched + 1;
         (match callback with
         | Some action ->
           action
@@ -746,20 +735,39 @@ let relevance_summary ~table monitored_op =
   in
   Printf.sprintf "cols={%s} pred=%s" cols pred
 
+(* The names of one group's telemetry: six windowed series (the advisor's
+   cost profile) and, per base table, a firing-latency histogram.  Built
+   once per install, so the firing body never formats strings; dropping the
+   group unregisters exactly these. *)
+type series = {
+  s_firings : string;
+  s_latency : string;
+  s_pairs : string;
+  s_kept : string;
+  s_spurious : string;
+  s_scan : string;
+}
+
+let group_series gid =
+  let name pfx = Printf.sprintf "%s:g%d" pfx gid in
+  { s_firings = name "firings";
+    s_latency = name "latency_ns";
+    s_pairs = name "pairs";
+    s_kept = name "kept";
+    s_spurious = name "spurious";
+    s_scan = name "scan_rows";
+  }
+
+let window_series s =
+  [ s.s_firings; s.s_latency; s.s_pairs; s.s_kept; s.s_spurious; s.s_scan ]
+
+let firing_histogram gid table = Printf.sprintf "firing:g%d:%s" gid table
+
 let install_sql_triggers t group =
-  (* Windowed series and firing-histogram names for this group, allocated
-     once per install so the firing body never formats strings for the
-     observatory. *)
-  let gkey = Printf.sprintf "g%d" group.g_id in
-  let w_firings = "firings:" ^ gkey in
-  let w_latency = "latency_ns:" ^ gkey in
-  let w_pairs = "pairs:" ^ gkey in
-  let w_kept = "kept:" ^ gkey in
-  let w_spurious = "spurious:" ^ gkey in
-  let w_scan = "scan_rows:" ^ gkey in
+  let ws = group_series group.g_id in
   List.iter
     (fun tp ->
-      let h_firing = Printf.sprintf "firing:g%d:%s" group.g_id tp.tp_table in
+      let h_firing = firing_histogram group.g_id tp.tp_table in
       let schema = schema_of t tp.tp_table in
       let pk_slots =
         List.map (Schema.col_index schema) schema.Schema.primary_key
@@ -767,11 +775,12 @@ let install_sql_triggers t group =
       let relevant_slots = List.map (Schema.col_index schema) tp.tp_relevant_cols in
       (* One firing: run the delta plans over the statement's transition
          tables, drop spurious (OLD = NEW) pairs and dispatch the rest.
-         Scan accounting goes to a private accumulator first, because its
-         total feeds this group's [scan_rows] window series. *)
+         The manager's scan total before and after the plans (not the
+         dispatch: actions may cascade into other firings) gives this
+         firing's [scan_rows] window value. *)
       let body tc =
-        let pstats = Ra_eval.create_scan_stats () in
-        let ctx = Ra_eval.ctx_of_trigger ~stats:pstats tc in
+        let scan0 = Ra_eval.scan_stats_total t.scan_stats in
+        let ctx = Ra_eval.ctx_of_trigger ~stats:t.scan_stats tc in
         let ctx =
           if tc.Database.event = Database.Update then
             prune_ctx ctx ~table:tp.tp_table ~pk_slots ~relevant_slots
@@ -782,10 +791,7 @@ let install_sql_triggers t group =
           | Some ([], []) -> true
           | _ -> false
         in
-        if empty then begin
-          t.counters.sql_firings <- t.counters.sql_firings + 1;
-          Ra_eval.merge_scan_stats ~into:t.scan_stats pstats
-        end
+        if empty then t.n_firings <- t.n_firings + 1
         else begin
           let t0 = Obs.Trace.now () in
           let cols =
@@ -811,8 +817,8 @@ let install_sql_triggers t group =
           let ti = idx "trig_ids" in
           let oi = if List.mem "old_node" cols then Some (idx "old_node") else None in
           let ni = if List.mem "new_node" cols then Some (idx "new_node") else None in
-          t.counters.sql_firings <- t.counters.sql_firings + 1;
-          Ra_eval.merge_scan_stats ~into:t.scan_stats pstats;
+          t.n_firings <- t.n_firings + 1;
+          let scanned = Ra_eval.scan_stats_total t.scan_stats - scan0 in
           (* audit record, inserted before dispatch so action callbacks
              can link back by id; its counters are mutated as the firing
              proceeds.  One boolean load when auditing is off. *)
@@ -862,7 +868,7 @@ let install_sql_triggers t group =
             else None
           in
           let pc = List.length rel.Eval.rows in
-          t.counters.rows_computed <- t.counters.rows_computed + pc;
+          t.n_rows <- t.n_rows + pc;
           (match arec with
           | Some r -> r.Obs.Audit.pairs_computed <- pc
           | None -> ());
@@ -914,15 +920,15 @@ let install_sql_triggers t group =
           Obs.Metrics.observe_in t.histograms h_firing dt;
           (* windowed cost profile for the advisor *)
           let w = Database.window t.db in
-          Obs.Window.add w ~now:fin w_firings 1.0;
-          Obs.Window.add w ~now:fin w_latency (Int64.to_float dt);
-          if pc > 0 then Obs.Window.add w ~now:fin w_pairs (float_of_int pc);
+          Obs.Window.add w ~now:fin ws.s_firings 1.0;
+          Obs.Window.add w ~now:fin ws.s_latency (Int64.to_float dt);
+          if pc > 0 then Obs.Window.add w ~now:fin ws.s_pairs (float_of_int pc);
           if !n_kept > 0 then
-            Obs.Window.add w ~now:fin w_kept (float_of_int !n_kept);
+            Obs.Window.add w ~now:fin ws.s_kept (float_of_int !n_kept);
           if !n_spurious > 0 then
-            Obs.Window.add w ~now:fin w_spurious (float_of_int !n_spurious);
-          let sc = Ra_eval.scan_stats_total pstats in
-          if sc > 0 then Obs.Window.add w ~now:fin w_scan (float_of_int sc);
+            Obs.Window.add w ~now:fin ws.s_spurious (float_of_int !n_spurious);
+          if scanned > 0 then
+            Obs.Window.add w ~now:fin ws.s_scan (float_of_int scanned);
           let ch = t.ra_counters.Relkit.Ra_compile.build_cache_hits
           and cm = t.ra_counters.Relkit.Ra_compile.build_cache_misses in
           if ch > t.last_cache_hits then
@@ -1190,13 +1196,7 @@ let level_snapshot t (m : Compose.monitored) =
     rel.Eval.rows
 
 let install_materialized t ~gid (tr : Trigger.t) view_name m =
-  (* Windowed series names (one set per singleton group), allocated once. *)
-  let gkey = Printf.sprintf "g%d" gid in
-  let w_firings = "firings:" ^ gkey in
-  let w_latency = "latency_ns:" ^ gkey in
-  let w_pairs = "pairs:" ^ gkey in
-  let w_kept = "kept:" ^ gkey in
-  let w_spurious = "spurious:" ^ gkey in
+  let ws = group_series gid in
   (* one snapshot per trigger: each diff consumes its own before-image *)
   let key =
     snapshot_key view_name (Ast.path_to_string tr.Trigger.path) ^ "#" ^ tr.Trigger.name
@@ -1213,7 +1213,7 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
   let body tc =
     let bt0 = Obs.Trace.now () in
     let n_computed = ref 0 and n_sp = ref 0 and n_kept = ref 0 in
-    t.counters.sql_firings <- t.counters.sql_firings + 1;
+    t.n_firings <- t.n_firings + 1;
     let before = !snap in
     let after = level_snapshot t m in
     snap := after;
@@ -1259,7 +1259,7 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
     let fire ~old_node ~new_node =
       let t0 = Obs.Trace.now () in
       incr n_kept;
-      t.counters.rows_computed <- t.counters.rows_computed + 1;
+      t.n_rows <- t.n_rows + 1;
       let passes =
         match tr.Trigger.condition with
         | None -> true
@@ -1295,7 +1295,7 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
           :: r.Obs.Audit.actions
       | None -> ());
       if passes then begin
-        t.counters.actions_dispatched <- t.counters.actions_dispatched + 1;
+        t.n_dispatched <- t.n_dispatched + 1;
         (match callback with
         | Some action ->
           action
@@ -1356,12 +1356,12 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
     (* windowed cost profile: the whole recompute-and-diff is the firing *)
     let fin = Obs.Trace.now () in
     let w = Database.window t.db in
-    Obs.Window.add w ~now:fin w_firings 1.0;
-    Obs.Window.add w ~now:fin w_latency (Int64.to_float (Int64.sub fin bt0));
+    Obs.Window.add w ~now:fin ws.s_firings 1.0;
+    Obs.Window.add w ~now:fin ws.s_latency (Int64.to_float (Int64.sub fin bt0));
     if !n_computed > 0 then
-      Obs.Window.add w ~now:fin w_pairs (float_of_int !n_computed);
-    if !n_kept > 0 then Obs.Window.add w ~now:fin w_kept (float_of_int !n_kept);
-    if !n_sp > 0 then Obs.Window.add w ~now:fin w_spurious (float_of_int !n_sp)
+      Obs.Window.add w ~now:fin ws.s_pairs (float_of_int !n_computed);
+    if !n_kept > 0 then Obs.Window.add w ~now:fin ws.s_kept (float_of_int !n_kept);
+    if !n_sp > 0 then Obs.Window.add w ~now:fin ws.s_spurious (float_of_int !n_sp)
   in
   List.iter
     (fun ev ->
@@ -1734,8 +1734,7 @@ let drop_trigger ?(log = true) t name =
                 (Printf.sprintf "xmltrig$g%d$%s$%s" group.g_id tp.tp_table
                    (Database.string_of_event ev)))
             tp.tp_rel_events;
-          Obs.Metrics.remove_in t.histograms
-            (Printf.sprintf "firing:g%d:%s" group.g_id tp.tp_table))
+          Obs.Metrics.remove_in t.histograms (firing_histogram group.g_id tp.tp_table))
         group.g_plans;
       (* the constants table is group state: gone with its group, or
          create/drop churn would accrete one orphan table per generation *)
@@ -1744,11 +1743,8 @@ let drop_trigger ?(log = true) t name =
       (* group telemetry dies with the group: without this, tune churn and
          subscribe/unsubscribe cycles grow the window and the registry by
          one dead series set per generation *)
-      List.iter
-        (fun pfx ->
-          Obs.Window.remove (Database.window t.db)
-            (Printf.sprintf "%s:g%d" pfx group.g_id))
-        [ "firings"; "latency_ns"; "pairs"; "kept"; "spurious"; "scan_rows" ];
+      List.iter (Obs.Window.remove (Database.window t.db))
+        (window_series (group_series group.g_id));
       Hashtbl.remove t.groups group.g_signature
     end;
     (* materialized triggers installed their SQL triggers under their own
@@ -1768,7 +1764,7 @@ let drop_trigger ?(log = true) t name =
        to anything scraping the registry *)
     Obs.Metrics.remove_in t.histograms name;
     Hashtbl.remove t.last_reco name;
-    t.counters.triggers_dropped <- t.counters.triggers_dropped + 1
+    t.n_dropped <- t.n_dropped + 1
 
 (* --- durability: WAL + snapshots + crash recovery --- *)
 
@@ -1948,8 +1944,6 @@ let trace_render t = Obs.Trace.render (Database.tracer t.db)
 let trace_json t = Obs.Trace.to_json (Database.tracer t.db)
 
 let latencies t = Obs.Metrics.histograms t.histograms
-let latency_report t = Obs.Metrics.render_registry t.histograms
-let reset_latencies t = Obs.Metrics.reset_registry t.histograms
 
 let durability_timings t =
   match t.store with None -> [] | Some s -> Durability.Store.timings s
@@ -2067,17 +2061,6 @@ let explain_json t =
   in
   "[" ^ String.concat ", " (List.map group_json groups) ^ "]"
 
-(* Per-table PK/index probe accounting, tables with no traffic elided. *)
-let probe_reports t =
-  List.filter_map
-    (fun name ->
-      match Database.find_table t.db name with
-      | None -> None
-      | Some tbl ->
-        let rep = Relkit.Table.probe_report tbl in
-        if List.for_all (fun (_, n) -> n = 0) rep then None else Some (name, rep))
-    (List.sort compare (Database.table_names t.db))
-
 (* --- workload observatory: cost profiles, ANALYZE, TUNE ---
 
    The cost model follows the paper's Table-2 findings: per relevant
@@ -2123,20 +2106,20 @@ type observed = {
 let observed_of_group t g =
   let w = Database.window t.db in
   let now = Obs.Trace.now () in
-  let key pfx = Printf.sprintf "%s:g%d" pfx g.g_id in
-  let win pfx = Obs.Window.window_sum w ~now (key pfx) in
-  let life pfx = Obs.Window.total w (key pfx) in
-  let windowed = win "firings" > 0.0 in
-  let get pfx = if windowed then win pfx else life pfx in
-  let f = get "firings" in
-  let lat = get "latency_ns" in
+  let ws = group_series g.g_id in
+  let windowed = Obs.Window.window_sum w ~now ws.s_firings > 0.0 in
+  let get name =
+    if windowed then Obs.Window.window_sum w ~now name else Obs.Window.total w name
+  in
+  let f = get ws.s_firings in
+  let lat = get ws.s_latency in
   { ob_firings = f;
-    ob_rate = Obs.Window.rate w ~now (key "firings");
+    ob_rate = Obs.Window.rate w ~now ws.s_firings;
     ob_latency_ns = (if f > 0.0 then lat /. f else 0.0);
-    ob_pairs = get "pairs";
-    ob_kept = get "kept";
-    ob_spurious = get "spurious";
-    ob_scan_rows = get "scan_rows";
+    ob_pairs = get ws.s_pairs;
+    ob_kept = get ws.s_kept;
+    ob_spurious = get ws.s_spurious;
+    ob_scan_rows = get ws.s_scan;
     ob_windowed = windowed;
   }
 
@@ -2503,240 +2486,96 @@ let tune ?trigger t =
   Buffer.add_string buf (Printf.sprintf "%d trigger(s) re-armed\n" !changed);
   Buffer.contents buf
 
-(* Everything scrape-worthy in Prometheus text exposition format: runtime
-   counters, per-source scan rows, per-table probe counts, the latency
-   registry, durability timings, and audit-log totals.  Histogram names are
-   not legal metric names ([firing:g0:product]), so each section is one
-   family carrying the name as a label. *)
-let metrics_prometheus t =
-  let s = stats t in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Obs.Metrics.prometheus_counters ~metric:"trigview_runtime_total"
-       [ ("sql_firings", s.sql_firings);
-         ("rows_computed", s.rows_computed);
-         ("actions_dispatched", s.actions_dispatched);
-         ("plans_compiled", s.plans_compiled);
-         ("compiled_execs", s.compiled_execs);
-         ("build_cache_hits", s.build_cache_hits);
-         ("build_cache_misses", s.build_cache_misses);
-         ("prefilter_skips", s.prefilter_skips);
-         ("independence_skips", s.independence_skips);
-         ("triggers_dropped", s.triggers_dropped);
-       ]);
-  (* observability configuration (ring/window geometry), for dashboards *)
-  let w = Database.window t.db in
-  Buffer.add_string buf
-    (Obs.Metrics.prometheus_counters ~metric:"trigview_obs_config"
-       [ ("trace_ring", Obs.Trace.limit (Database.tracer t.db));
-         ("audit_ring", Obs.Audit.limit (Database.audit t.db));
-         ("window_buckets", Obs.Window.buckets w);
-         ("window_width_ms", Obs.Window.width_ms w);
-         ("request_deadline_ms", t.tuning.request_deadline_ms);
-       ]);
-  (* windowed rates for every live series (events/sec over the window) *)
-  (match Obs.Window.snapshot w ~now:(Obs.Trace.now ()) with
-  | [] -> ()
-  | snaps ->
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_gauges_f ~metric:"trigview_window_rate"
-         (List.map (fun (n, sn) -> (n, sn.Obs.Window.sn_rate)) snaps));
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_gauges_f ~metric:"trigview_window_ewma"
-         (List.map (fun (n, sn) -> (n, sn.Obs.Window.sn_ewma)) snaps)));
-  (* per-trigger recommended strategy as a coded gauge *)
-  (match recommendations t with
-  | [] -> ()
-  | recos ->
-    let code = function
-      | Ungrouped -> 0.0
-      | Grouped -> 1.0
-      | Grouped_agg -> 2.0
-      | Materialized -> 3.0
-    in
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_gauges_f
-         ~metric:"trigview_recommended_strategy"
-         (List.map (fun r -> (r.r_trigger, code r.r_recommended)) recos)));
-  (match scan_rows_report t with
-  | [] -> ()
-  | rep ->
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_counters ~metric:"trigview_scan_rows_total" rep));
-  (match probe_reports t with
-  | [] -> ()
-  | reps ->
-    let flat =
-      List.concat_map
-        (fun (tbl, rep) -> List.map (fun (k, v) -> (tbl ^ "/" ^ k, v)) rep)
-        reps
-    in
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_counters ~metric:"trigview_probe_total" flat));
-  Buffer.add_string buf
-    (Obs.Metrics.registry_to_prometheus ~metric:"trigview_latency_ns" t.histograms);
-  (match durability_timings t with
-  | [] -> ()
-  | timings ->
-    Buffer.add_string buf
-      (Obs.Metrics.to_prometheus ~metric:"trigview_durability_ns" timings));
-  let a = Database.audit t.db in
-  Buffer.add_string buf
-    (Obs.Metrics.prometheus_counters ~metric:"trigview_audit_total"
-       [ ("records", Obs.Audit.total a); ("dropped", Obs.Audit.dropped a) ]);
-  Buffer.contents buf
+(* --- telemetry: every runtime metric family, declared once ---
 
-let report t =
-  let s = stats t in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "counters:\n";
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-22s %d\n" k v))
-    [ ("sql_firings", s.sql_firings);
-      ("rows_computed", s.rows_computed);
-      ("actions_dispatched", s.actions_dispatched);
-      ("plans_compiled", s.plans_compiled);
-      ("compiled_execs", s.compiled_execs);
-      ("build_cache_hits", s.build_cache_hits);
-      ("build_cache_misses", s.build_cache_misses);
-      ("prefilter_skips", s.prefilter_skips);
-      ("independence_skips", s.independence_skips);
-      ("triggers_dropped", s.triggers_dropped);
-    ];
-  let w = Database.window t.db in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "observatory: window %d x %dms, trace ring %d, audit ring %d, \
-        request deadline %dms\n"
-       (Obs.Window.buckets w) (Obs.Window.width_ms w)
-       (Obs.Trace.limit (Database.tracer t.db))
-       (Obs.Audit.limit (Database.audit t.db))
-       t.tuning.request_deadline_ms);
-  (match Obs.Window.snapshot w ~now:(Obs.Trace.now ()) with
-  | [] -> Buffer.add_string buf "  (no windowed series yet)\n"
-  | snaps ->
-    List.iter
-      (fun (n, sn) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "  %-28s total=%-10.0f window=%-8.0f rate=%.2f/s ewma=%.2f/s\n" n
-             sn.Obs.Window.sn_total sn.Obs.Window.sn_window
-             sn.Obs.Window.sn_rate sn.Obs.Window.sn_ewma))
-      snaps);
-  (match recommendations t with
-  | [] -> ()
-  | recos ->
-    Buffer.add_string buf "advisor:\n";
-    List.iter
-      (fun r ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %-20s %s -> %s (%s)\n" r.r_trigger
-             (strategy_to_string r.r_current)
-             (strategy_to_string r.r_recommended)
-             r.r_reason))
-      recos);
-  Buffer.add_string buf "scan rows (per source):\n";
-  (match scan_rows_report t with
-  | [] -> Buffer.add_string buf "  (none)\n"
-  | rep ->
-    List.iter
-      (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-22s %d\n" k v))
-      rep);
-  (match probe_reports t with
-  | [] -> ()
-  | reps ->
-    Buffer.add_string buf "index/PK probes (per table):\n";
-    List.iter
-      (fun (tbl, rep) ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %-22s %s\n" tbl
-             (String.concat " "
-                (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) rep))))
-      reps);
-  Buffer.add_string buf "latency histograms:\n";
-  Buffer.add_string buf (Obs.Metrics.render_registry t.histograms);
-  Buffer.add_char buf '\n';
-  (match durability_timings t with
-  | [] -> ()
-  | timings ->
-    Buffer.add_string buf "durability timings:\n";
-    List.iter
-      (fun (name, h) ->
-        Buffer.add_string buf (Obs.Metrics.render_histogram ~name h);
-        Buffer.add_char buf '\n')
-      timings);
-  Buffer.contents buf
+   [metrics_prometheus], [report] and the metric part of [report_json]
+   render this one list.  Each family reads its samples from the store
+   that owns them, at render time only. *)
+
+let strategy_code = function
+  | Ungrouped -> 0.0
+  | Grouped -> 1.0
+  | Grouped_agg -> 2.0
+  | Materialized -> 3.0
+
+let obs_config t =
+  Obs.Metrics.gauge "trigview_obs_config" (fun () ->
+      let w = Database.window t.db in
+      [ ("trace_ring", Obs.Trace.limit (Database.tracer t.db));
+        ("audit_ring", Obs.Audit.limit (Database.audit t.db));
+        ("window_buckets", Obs.Window.buckets w);
+        ("window_width_ms", Obs.Window.width_ms w);
+        ("request_deadline_ms", t.tuning.request_deadline_ms);
+      ])
+
+let window_snapshot t =
+  Obs.Window.snapshot (Database.window t.db) ~now:(Obs.Trace.now ())
+
+(* PK/index probe counts as "table/probe" samples, tables with no traffic
+   elided. *)
+let probe_totals t =
+  List.concat_map
+    (fun name ->
+      let rep = Relkit.Table.probe_report (Database.get_table t.db name) in
+      if List.for_all (fun (_, n) -> n = 0) rep then []
+      else List.map (fun (k, v) -> (name ^ "/" ^ k, v)) rep)
+    (List.sort compare (Database.table_names t.db))
+
+let families t =
+  let open Obs.Metrics in
+  let window_gauge name field =
+    gauge_f name (fun () -> List.map (fun (n, sn) -> (n, field sn)) (window_snapshot t))
+  in
+  [ counter "trigview_runtime_total" (fun () ->
+        let s = stats t in
+        [ ("sql_firings", s.sql_firings);
+          ("rows_computed", s.rows_computed);
+          ("actions_dispatched", s.actions_dispatched);
+          ("plans_compiled", s.plans_compiled);
+          ("compiled_execs", s.compiled_execs);
+          ("build_cache_hits", s.build_cache_hits);
+          ("build_cache_misses", s.build_cache_misses);
+          ("prefilter_skips", s.prefilter_skips);
+          ("independence_skips", s.independence_skips);
+          ("triggers_dropped", s.triggers_dropped);
+        ]);
+    obs_config t;
+    window_gauge "trigview_window_rate" (fun sn -> sn.Obs.Window.sn_rate);
+    window_gauge "trigview_window_ewma" (fun sn -> sn.Obs.Window.sn_ewma);
+    gauge_f "trigview_recommended_strategy" (fun () ->
+        List.map
+          (fun r -> (r.r_trigger, strategy_code r.r_recommended))
+          (recommendations t));
+    counter "trigview_scan_rows_total" (fun () -> scan_rows_report t);
+    counter "trigview_probe_total" (fun () -> probe_totals t);
+    histogram "trigview_latency_ns" (fun () -> latencies t);
+  ]
+  @ (if t.store = None then []
+    else [ histogram "trigview_durability_ns" (fun () -> durability_timings t) ])
+  @ [ counter "trigview_audit_total" (fun () ->
+          let a = Database.audit t.db in
+          [ ("records", Obs.Audit.total a); ("dropped", Obs.Audit.dropped a) ]);
+    ]
+
+let metrics_prometheus t = Obs.Metrics.prometheus (families t)
+let report t = Obs.Metrics.text (families t)
 
 let report_json t =
-  let s = stats t in
   let esc = Obs.Metrics.json_escape in
-  let counters =
-    Printf.sprintf
-      "{\"sql_firings\": %d, \"rows_computed\": %d, \"actions_dispatched\": %d, \
-       \"plans_compiled\": %d, \"compiled_execs\": %d, \"build_cache_hits\": \
-       %d, \"build_cache_misses\": %d, \"prefilter_skips\": %d, \
-       \"independence_skips\": %d, \"triggers_dropped\": %d}"
-      s.sql_firings s.rows_computed s.actions_dispatched s.plans_compiled
-      s.compiled_execs s.build_cache_hits s.build_cache_misses
-      s.prefilter_skips s.independence_skips s.triggers_dropped
-  in
-  let scan =
-    "{"
-    ^ String.concat ", "
-        (List.map
-           (fun (k, v) -> Printf.sprintf "\"%s\": %d" (esc k) v)
-           (scan_rows_report t))
-    ^ "}"
-  in
-  let probes =
-    "{"
-    ^ String.concat ", "
-        (List.map
-           (fun (tbl, rep) ->
-             Printf.sprintf "\"%s\": {%s}" (esc tbl)
-               (String.concat ", "
-                  (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (esc k) v) rep)))
-           (probe_reports t))
-    ^ "}"
-  in
-  let durability =
-    "["
-    ^ String.concat ", "
-        (List.map
-           (fun (name, h) ->
-             Printf.sprintf "{\"name\": \"%s\", %s}" (esc name)
-               (Obs.Metrics.histogram_json_fields h))
-           (durability_timings t))
-    ^ "]"
-  in
-  let observatory =
-    let w = Database.window t.db in
-    let series =
-      String.concat ", "
-        (List.map
-           (fun (n, sn) ->
-             Printf.sprintf
-               "{\"name\": \"%s\", \"total\": %.0f, \"window\": %.0f, \
-                \"rate_per_s\": %.4f, \"ewma_per_s\": %.4f}"
-               (esc n) sn.Obs.Window.sn_total sn.Obs.Window.sn_window
-               sn.Obs.Window.sn_rate sn.Obs.Window.sn_ewma)
-           (Obs.Window.snapshot w ~now:(Obs.Trace.now ())))
-    in
-    Printf.sprintf
-      "{\"knobs\": {\"trace_ring\": %d, \"audit_ring\": %d, \
-       \"window_buckets\": %d, \"window_width_ms\": %d, \
-       \"request_deadline_ms\": %d}, \"series\": [%s], \
-       \"advisor\": %s}"
-      (Obs.Trace.limit (Database.tracer t.db))
-      (Obs.Audit.limit (Database.audit t.db))
-      (Obs.Window.buckets w) (Obs.Window.width_ms w)
-      t.tuning.request_deadline_ms series (analyze_json t)
+  let series =
+    List.map
+      (fun (n, sn) ->
+        Printf.sprintf
+          "{\"name\": \"%s\", \"total\": %.0f, \"window\": %.0f, \
+           \"rate_per_s\": %.4f, \"ewma_per_s\": %.4f}"
+          (esc n) sn.Obs.Window.sn_total sn.Obs.Window.sn_window
+          sn.Obs.Window.sn_rate sn.Obs.Window.sn_ewma)
+      (window_snapshot t)
   in
   Printf.sprintf
-    "{\"strategy\": \"%s\", \"counters\": %s, \"scan_rows\": %s, \"probes\": \
-     %s, \"latencies_ns\": %s, \"durability_timings\": %s, \"observatory\": \
-     %s, \"explain\": %s}"
+    "{\"strategy\": \"%s\", \"metrics\": %s, \"observatory\": {\"knobs\": %s, \
+     \"series\": [%s], \"advisor\": %s}, \"explain\": %s}"
     (esc (strategy_to_string t.strat))
-    counters scan probes
-    (Obs.Metrics.registry_json t.histograms)
-    durability observatory (explain_json t)
+    (Obs.Metrics.json (families t))
+    (Obs.Metrics.json_samples (obs_config t))
+    (String.concat ", " series) (analyze_json t) (explain_json t)

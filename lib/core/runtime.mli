@@ -45,25 +45,25 @@ type firing = {
 type action = firing -> unit
 
 type stats = {
-  mutable sql_firings : int;  (** SQL trigger activations *)
-  mutable rows_computed : int;  (** (OLD, NEW) pairs produced by the plans *)
-  mutable actions_dispatched : int;
-  mutable plans_compiled : int;
+  sql_firings : int;  (** SQL trigger activations *)
+  rows_computed : int;  (** (OLD, NEW) pairs produced by the plans *)
+  actions_dispatched : int;
+  plans_compiled : int;
       (** {!Relkit.Ra_compile} plans built (one-time, at trigger creation) *)
-  mutable compiled_execs : int;  (** executions through compiled plans *)
-  mutable build_cache_hits : int;
+  compiled_execs : int;  (** executions through compiled plans *)
+  build_cache_hits : int;
       (** hash-join build sides reused across firings (version check passed) *)
-  mutable build_cache_misses : int;  (** build sides (re)materialized *)
-  mutable prefilter_skips : int;
+  build_cache_misses : int;  (** build sides (re)materialized *)
+  prefilter_skips : int;
       (** SQL triggers the (table, event) relevance prefilter never even
           examined, summed over statements; they are not audited either *)
-  mutable independence_skips : int;
+  independence_skips : int;
       (** SQL triggers inside an activated (table, event) bucket that the
           static relevance signature (column footprint / constant
           predicates derived from the trigger's XQGM plan at arm time)
           proved independent of the statement — skipped before any delta
           plan ran, and not audited *)
-  mutable triggers_dropped : int;
+  triggers_dropped : int;
       (** XML triggers dropped over the runtime's lifetime; explains
           per-trigger series vanishing from the latency registry and the
           window *)
@@ -213,8 +213,6 @@ val trace_json : t -> string
 (** Per-trigger and per-firing latency histograms, name-sorted. *)
 val latencies : t -> (string * Obs.Metrics.histogram) list
 
-val latency_report : t -> string
-val reset_latencies : t -> unit
 
 (** WAL append/fsync and checkpoint latency histograms; [[]] when no
     durability store is attached. *)
@@ -231,14 +229,27 @@ val explain : t -> string
 (** The same structure as JSON: an array of group objects. *)
 val explain_json : t -> string
 
-(** Everything at once, human-readable: counters, per-source scan rows,
-    per-table PK/index probe counts, latency histograms, durability
-    timings. *)
+(** The runtime's metric families, each declared once: runtime counters
+    ([trigview_runtime_total]), observability configuration
+    ([trigview_obs_config]), windowed rates and EWMAs, the advisor's
+    recommended strategy per trigger (coded 0–3 in {!strategy} order),
+    per-source scan rows, per-table probe counts, the latency registry,
+    durability timings (only while a store is attached) and audit totals.
+    Samples are read from their owning stores when a renderer calls the
+    family, never on the firing path.  {!metrics_prometheus}, {!report} and
+    [report_json]'s ["metrics"] object all render this list. *)
+val families : t -> Obs.Metrics.family list
+
+(** {!families} as aligned text, one block per family. *)
 val report : t -> string
 
-(** The machine-readable form; includes {!explain_json} under ["explain"]
-    and the workload observatory (knobs, windowed series, advisor) under
-    ["observatory"]. *)
+(** The machine-readable form (what [GET /stats] and the CLI's
+    [stats-json] return): [{"strategy", "metrics", "observatory",
+    "explain"}].  ["metrics"] is {!families} as JSON, one object per
+    family keyed by label (histograms as count/mean/percentile objects);
+    ["observatory"] holds the knobs (the [trigview_obs_config] samples),
+    every windowed series with its total, window sum, rate and EWMA, and
+    the advisor ({!analyze_json}); ["explain"] is {!explain_json}. *)
 val report_json : t -> string
 
 (** {2 Workload observatory: windowed profiles, ANALYZE, TUNE}
@@ -351,9 +362,8 @@ val why : t -> int -> string
     [trace_chrome_json] renders the recorded spans as Chrome trace-event
     JSON (load in Perfetto / chrome://tracing): spans become ["ph": "X"]
     complete events, audit records become instant events carrying the full
-    record as [args].  [metrics_prometheus] renders counters, scan rows,
-    probe counts, the latency registry, durability timings and audit totals
-    in Prometheus text exposition format. *)
+    record as [args].  [metrics_prometheus] renders {!families} in
+    Prometheus text exposition format. *)
 
 val trace_chrome_json : t -> string
 val metrics_prometheus : t -> string

@@ -298,39 +298,34 @@ let subscribe_feed t name (req : Httpd.request) =
 
 (* --- operational surface --- *)
 
-let metrics_prometheus t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Obs.Metrics.prometheus_counters ~metric:"trigview_http_total"
-       [ ("requests", Httpd.requests t.httpd);
-         ("responses", Httpd.responses t.httpd);
-         ("overloads", Httpd.overloads t.httpd);
-         ("deadline_aborts", Httpd.deadline_aborts t.httpd);
-         ("clients_evicted", Httpd.clients_evicted t.httpd);
-         ("clients_dropped", Httpd.clients_dropped t.httpd);
-         ("sse_streams", Httpd.sse_streams t.httpd);
-         ("sse_events_sent", Httpd.sse_events_sent t.httpd);
-         ("published", Httpd.published t.httpd);
-       ]);
-  Buffer.add_string buf
-    (Obs.Metrics.prometheus_gauges ~metric:"trigview_http_connections"
-       [ ("connected", Httpd.connection_count t.httpd);
-         ("inflight", Httpd.inflight t.httpd);
-       ]);
-  Buffer.add_string buf
-    (Obs.Metrics.prometheus_gauges ~metric:"trigview_http_config"
-       [ ("deadline_ms", Httpd.deadline_ms t.httpd);
-         ("max_inflight", Httpd.max_inflight t.httpd);
-       ]);
-  Buffer.add_string buf
-    (Obs.Metrics.registry_to_prometheus ~metric:"trigview_http_latency_ns"
-       t.registry);
-  Buffer.contents buf
+(* The HTTP server's metric families, declared once. *)
+let families t =
+  let open Obs.Metrics in
+  let h = t.httpd in
+  [ counter "trigview_http_total" (fun () ->
+        [ ("requests", Httpd.requests h);
+          ("responses", Httpd.responses h);
+          ("overloads", Httpd.overloads h);
+          ("deadline_aborts", Httpd.deadline_aborts h);
+          ("clients_evicted", Httpd.clients_evicted h);
+          ("clients_dropped", Httpd.clients_dropped h);
+          ("sse_streams", Httpd.sse_streams h);
+          ("sse_events_sent", Httpd.sse_events_sent h);
+          ("published", Httpd.published h);
+        ]);
+    gauge "trigview_http_connections" (fun () ->
+        [ ("connected", Httpd.connection_count h); ("inflight", Httpd.inflight h) ]);
+    gauge "trigview_http_config" (fun () ->
+        [ ("deadline_ms", Httpd.deadline_ms h); ("max_inflight", Httpd.max_inflight h) ]);
+    histogram "trigview_http_latency_ns" (fun () -> histograms t.registry);
+  ]
 
-let all_metrics t =
-  Runtime.metrics_prometheus t.mgr
-  ^ Hub.metrics_prometheus t.hub
-  ^ metrics_prometheus t
+let metrics_prometheus t = Obs.Metrics.prometheus (families t)
+
+let all_metrics ?api mgr hub =
+  Obs.Metrics.prometheus
+    (Runtime.families mgr @ Hub.families hub
+    @ match api with Some t -> families t | None -> [])
 
 (* --- routing --- *)
 
@@ -355,7 +350,8 @@ let route t (req : Httpd.request) =
   | "POST", [ "views"; name; "update" ] -> view_update t name req
   | "GET", [ "subscribe"; name ] -> subscribe_feed t name req
   | "GET", [ "metrics" ] ->
-    text_response ~ctype:"text/plain; version=0.0.4" (all_metrics t)
+    text_response ~ctype:"text/plain; version=0.0.4"
+      (all_metrics ~api:t t.mgr t.hub)
   | "GET", [ "stats" ] -> json_response (Runtime.report_json t.mgr)
   | "GET", [ "analyze" ] -> json_response (Runtime.analyze_json t.mgr)
   | "GET", [ "healthz" ] -> json_response "{\"ok\": true}"
@@ -418,7 +414,6 @@ let create ?max_inflight ?deadline_ms ?retain ?(port = 0) ~mgr ~hub () =
 
 let httpd t = t.httpd
 let port t = Httpd.port t.httpd
-let registry t = t.registry
 
 (* One transport round, then any deferred hub flush.  The flush happens
    with the transport lock released: sink delivery publishes back into

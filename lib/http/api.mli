@@ -21,8 +21,7 @@
       gseq: [Last-Event-ID] header or [cursor=N]; at-least-once across
       reconnects, with a [gap] event when the cursor has fallen out of
       retention.
-    - [GET /metrics] — Prometheus text: runtime + hub + HTTP server
-      series.
+    - [GET /metrics] — Prometheus text: {!all_metrics}.
     - [GET /stats] — {!Trigview.Runtime.report_json}.
     - [GET /analyze] — {!Trigview.Runtime.analyze_json}.
     - [GET /healthz] — liveness.
@@ -58,9 +57,14 @@ val step : ?timeout_ms:int -> t -> int
 
 val stop : t -> unit
 
-(** Per-endpoint latency histograms. *)
-val registry : t -> Obs.Metrics.registry
-
-(** HTTP server counters + per-endpoint latencies in Prometheus text
-    format (appended after the runtime's and hub's own sections). *)
+(** The HTTP server's metric families in Prometheus text format:
+    transport counters ([trigview_http_total]), connection and
+    configuration gauges, and the per-endpoint latency histograms. *)
 val metrics_prometheus : t -> string
+
+(** The whole exposition [GET /metrics] serves: the runtime's
+    ({!Trigview.Runtime.families}), the hub's ([Subscribe.families]) and
+    (when [api] is given) the HTTP server's families, rendered as one
+    list.  The CLI's [metrics-prom] calls it too, without [api] until a
+    server is started. *)
+val all_metrics : ?api:t -> Trigview.Runtime.t -> Subscribe.t -> string

@@ -25,13 +25,6 @@ let create_histogram () =
     max_ns = 0L;
   }
 
-let reset_histogram h =
-  Array.fill h.buckets 0 n_buckets 0;
-  h.count <- 0;
-  h.sum_ns <- 0.0;
-  h.min_ns <- Int64.max_int;
-  h.max_ns <- 0L
-
 let bucket_of_ns ns =
   if Int64.compare ns 2L < 0 then 0
   else begin
@@ -50,8 +43,6 @@ let observe h ns =
   if Int64.compare ns h.min_ns < 0 then h.min_ns <- ns;
   if Int64.compare ns h.max_ns > 0 then h.max_ns <- ns
 
-let count h = h.count
-let sum_ns h = h.sum_ns
 let mean_ns h = if h.count = 0 then 0.0 else h.sum_ns /. float_of_int h.count
 let max_ns h = if h.count = 0 then 0L else h.max_ns
 let min_ns h = if h.count = 0 then 0L else h.min_ns
@@ -118,11 +109,29 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* Cumulative counts per inclusive power-of-two upper bound (bucket i is
+   [2^i, 2^(i+1))), up to the top occupied bucket: trailing empty buckets
+   are elided, and the +Inf bucket (= count) closes the series. *)
+let cumulative_buckets h =
+  let top =
+    let rec go i best = if i >= n_buckets then best else go (i + 1) (if h.buckets.(i) > 0 then i else best) in
+    go 0 (-1)
+  in
+  let rec go i cum acc =
+    if i > top then List.rev acc
+    else
+      let cum = cum + h.buckets.(i) in
+      go (i + 1) cum ((2.0 ** float_of_int (i + 1), cum) :: acc)
+  in
+  go 0 0 []
+
 let histogram_json_fields h =
   Printf.sprintf
-    "\"count\": %d, \"mean_ns\": %.1f, \"p50_ns\": %.1f, \"p95_ns\": %.1f, \"p99_ns\": %.1f, \"min_ns\": %Ld, \"max_ns\": %Ld"
-    h.count (mean_ns h) (percentile_ns h 0.50) (percentile_ns h 0.95)
+    "\"count\": %d, \"sum_ns\": %.0f, \"mean_ns\": %.1f, \"p50_ns\": %.1f, \"p95_ns\": %.1f, \"p99_ns\": %.1f, \"min_ns\": %Ld, \"max_ns\": %Ld, \"buckets\": [%s]"
+    h.count h.sum_ns (mean_ns h) (percentile_ns h 0.50) (percentile_ns h 0.95)
     (percentile_ns h 0.99) (min_ns h) (max_ns h)
+    (String.concat ", "
+       (List.map (fun (le, n) -> Printf.sprintf "[%.0f, %d]" le n) (cumulative_buckets h)))
 
 (* --- named-histogram registry --- *)
 
@@ -145,36 +154,57 @@ let histograms (reg : registry) =
   Hashtbl.fold (fun k h acc -> (k, h) :: acc) reg []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let reset_registry (reg : registry) = Hashtbl.reset reg
-
 (* Unregister one named histogram (e.g. when its trigger is dropped) so
    the registry doesn't accumulate series for dead triggers forever. *)
 let remove_in (reg : registry) name = Hashtbl.remove reg name
 
-let mem_in (reg : registry) name = Hashtbl.mem reg name
+(* --- metric families: declared once, rendered three ways ---
 
-let render_registry (reg : registry) =
-  match histograms reg with
-  | [] -> "(no latency samples)"
-  | hs -> String.concat "\n" (List.map (fun (name, h) -> render_histogram ~name h) hs)
+   A family is a metric name, a kind, and a reader returning the current
+   (label, value) samples from the store that owns them.  Layers declare
+   their families once; Prometheus text, JSON and aligned text are all
+   rendered from the same declarations, read at render time only, so the
+   exports cannot drift apart and recording sites stay untouched. *)
 
-let registry_json (reg : registry) =
-  let entries =
-    List.map
-      (fun (name, h) ->
-        Printf.sprintf "{\"name\": \"%s\", %s}" (json_escape name) (histogram_json_fields h))
-      (histograms reg)
-  in
-  "[" ^ String.concat ", " entries ^ "]"
+type kind = Counter | Gauge | Histogram
+
+type value = Int of int | Float of float | Hist of histogram
+
+type family = {
+  name : string;
+  kind : kind;
+  samples : unit -> (string * value) list;
+}
+
+let ints kind name read =
+  { name; kind; samples = (fun () -> List.map (fun (l, v) -> (l, Int v)) (read ())) }
+
+let counter = ints Counter
+let gauge = ints Gauge
+
+let gauge_f name read =
+  { name;
+    kind = Gauge;
+    samples = (fun () -> List.map (fun (l, v) -> (l, Float v)) (read ()));
+  }
+
+(* Histogram samples come out sorted by label. *)
+let histogram name read =
+  { name;
+    kind = Histogram;
+    samples =
+      (fun () ->
+        List.map (fun (l, h) -> (l, Hist h)) (read ())
+        |> List.sort (fun (a, _) (b, _) -> compare a b));
+  }
 
 (* --- Prometheus text exposition format ---
 
    Histogram names like "firing:g0:product" are not legal metric names, so
-   each set of named histograms becomes ONE histogram family ([metric]) with
-   the original name carried in a {name="..."} label.  Buckets are the
-   cumulative power-of-two boundaries; trailing all-zero buckets below the
-   top occupied one are elided per series (the +Inf bucket always closes the
-   series, so the parse stays valid). *)
+   every sample carries its label as {name="..."}.  Histogram buckets are
+   {!cumulative_buckets}.  A counter or gauge family
+   without samples is left out; a histogram family always announces its
+   TYPE. *)
 
 let prometheus_escape_label s =
   let buf = Buffer.create (String.length s + 8) in
@@ -188,71 +218,70 @@ let prometheus_escape_label s =
     s;
   Buffer.contents buf
 
-let prometheus_histogram buf ~metric ~label h =
-  let lbl = prometheus_escape_label label in
-  let top =
-    let rec go i best = if i >= n_buckets then best else go (i + 1) (if h.buckets.(i) > 0 then i else best) in
-    go 0 (-1)
-  in
-  let cum = ref 0 in
-  for i = 0 to top do
-    cum := !cum + h.buckets.(i);
-    (* boundary of bucket i is exclusive 2^(i+1); report le as inclusive *)
-    Buffer.add_string buf
-      (Printf.sprintf "%s_bucket{name=\"%s\",le=\"%.0f\"} %d\n" metric lbl
-         (2.0 ** float_of_int (i + 1))
-         !cum)
-  done;
-  Buffer.add_string buf
-    (Printf.sprintf "%s_bucket{name=\"%s\",le=\"+Inf\"} %d\n" metric lbl h.count);
-  Buffer.add_string buf
-    (Printf.sprintf "%s_sum{name=\"%s\"} %.0f\n" metric lbl h.sum_ns);
-  Buffer.add_string buf
-    (Printf.sprintf "%s_count{name=\"%s\"} %d\n" metric lbl h.count)
+let prometheus_histogram buf ~metric ~lbl h =
+  List.iter
+    (fun (le, cum) ->
+      Printf.bprintf buf "%s_bucket{name=\"%s\",le=\"%.0f\"} %d\n" metric lbl le cum)
+    (cumulative_buckets h);
+  Printf.bprintf buf "%s_bucket{name=\"%s\",le=\"+Inf\"} %d\n" metric lbl h.count;
+  Printf.bprintf buf "%s_sum{name=\"%s\"} %.0f\n" metric lbl h.sum_ns;
+  Printf.bprintf buf "%s_count{name=\"%s\"} %d\n" metric lbl h.count
 
-(* [to_prometheus ~metric named] renders named histograms as one labelled
-   histogram family in text exposition format. *)
-let to_prometheus ?(metric = "trigview_latency_ns") (named : (string * histogram) list) =
+let kind_name = function Counter -> "counter" | Gauge -> "gauge" | Histogram -> "histogram"
+
+let prometheus families =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" metric);
   List.iter
-    (fun (name, h) -> prometheus_histogram buf ~metric ~label:name h)
-    (List.sort (fun (a, _) (b, _) -> compare a b) named);
+    (fun f ->
+      match f.kind, f.samples () with
+      | (Counter | Gauge), [] -> ()
+      | kind, samples ->
+        Printf.bprintf buf "# TYPE %s %s\n" f.name (kind_name kind);
+        List.iter
+          (fun (label, v) ->
+            let lbl = prometheus_escape_label label in
+            match v with
+            | Int n -> Printf.bprintf buf "%s{name=\"%s\"} %d\n" f.name lbl n
+            | Float x -> Printf.bprintf buf "%s{name=\"%s\"} %.6g\n" f.name lbl x
+            | Hist h -> prometheus_histogram buf ~metric:f.name ~lbl h)
+          samples)
+    families;
   Buffer.contents buf
 
-let registry_to_prometheus ?metric (reg : registry) =
-  to_prometheus ?metric (histograms reg)
+(* --- JSON: one object per family, keyed by label --- *)
 
-(* One labelled counter family: [# TYPE m counter] then one line per
-   (label, value).  Values are int64-ish monotone counts. *)
-let prometheus_counters ~metric (pairs : (string * int) list) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n" metric);
-  List.iter
-    (fun (label, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s{name=\"%s\"} %d\n" metric (prometheus_escape_label label) v))
-    pairs;
-  Buffer.contents buf
+let json_samples f =
+  let value = function
+    | Int n -> string_of_int n
+    | Float x -> Printf.sprintf "%.6g" x
+    | Hist h -> "{" ^ histogram_json_fields h ^ "}"
+  in
+  "{"
+  ^ String.concat ", "
+      (List.map
+         (fun (label, v) -> Printf.sprintf "\"%s\": %s" (json_escape label) (value v))
+         (f.samples ()))
+  ^ "}"
 
-(* Same shape for float-valued point-in-time values (windowed rates). *)
-let prometheus_gauges_f ~metric (pairs : (string * float) list) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" metric);
-  List.iter
-    (fun (label, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s{name=\"%s\"} %.6g\n" metric (prometheus_escape_label label) v))
-    pairs;
-  Buffer.contents buf
+let json families =
+  "{"
+  ^ String.concat ", "
+      (List.map (fun f -> Printf.sprintf "\"%s\": %s" f.name (json_samples f)) families)
+  ^ "}"
 
-(* Same shape for point-in-time values (queue depths, client counts). *)
-let prometheus_gauges ~metric (pairs : (string * int) list) =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" metric);
+(* --- aligned text, for humans --- *)
+
+let text families =
+  let buf = Buffer.create 1024 in
   List.iter
-    (fun (label, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s{name=\"%s\"} %d\n" metric (prometheus_escape_label label) v))
-    pairs;
+    (fun f ->
+      Printf.bprintf buf "%s:\n" f.name;
+      List.iter
+        (fun (label, v) ->
+          match v with
+          | Int n -> Printf.bprintf buf "  %-32s %d\n" label n
+          | Float x -> Printf.bprintf buf "  %-32s %.6g\n" label x
+          | Hist h -> Printf.bprintf buf "  %s\n" (render_histogram ~name:label h))
+        (f.samples ()))
+    families;
   Buffer.contents buf

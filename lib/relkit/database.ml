@@ -22,13 +22,13 @@ type change =
 
 type t = {
   tables : (string, Table.t) Hashtbl.t;
-  mutable triggers_rev : trigger list;
-      (* newest first (O(1) registration); creation order is recovered at
-         read time — [trigger_sql], [drop_trigger] — which are rare *)
   mutable trig_count : int;
       (* cached |catalog|, maintained on add/drop: the firing path's skip
          accounting must not walk the catalog per statement *)
-  trig_names : (string, unit) Hashtbl.t;  (* O(1) duplicate-name check *)
+  trig_names : (string, entry) Hashtbl.t;
+      (* the catalog: name → bucket entry, so a drop finds the entry and
+         the index keys it sits under without a walk; [trigger_sql]
+         recovers creation order from [e_seq] *)
   mutable trig_seq : int;
       (* global creation sequence, stamped on bucket entries so candidate
          sets recovered from several indexes can be merged back into
@@ -115,7 +115,14 @@ and entry = {
   e_trig : trigger;
   e_slots : int list option;  (* resolved [rel_cols]; [None] = all *)
   e_pred : (Value.t array -> bool) option;
+  e_index : index_key;
 }
+
+(* Where a bucket's candidate search finds an entry. *)
+and index_key =
+  | Plain  (* in [b_plain_rev]: a candidate for every statement *)
+  | By_val of (int * Value.t)  (* under this [b_by_val] key *)
+  | By_cols of int list  (* under each of these [b_by_col] slots *)
 
 and bucket = {
   mutable b_entries_rev : entry list;  (* newest first *)
@@ -140,7 +147,6 @@ let max_firing_depth = 16
 
 let create () =
   { tables = Hashtbl.create 16;
-    triggers_rev = [];
     trig_count = 0;
     trig_names = Hashtbl.create 16;
     trig_seq = 0;
@@ -683,8 +689,6 @@ let create_trigger t trigger =
   if not (Hashtbl.mem t.tables trigger.trig_table) then
     invalid_arg
       (Printf.sprintf "Database.create_trigger: unknown table %S" trigger.trig_table);
-  Hashtbl.add t.trig_names trigger.trig_name ();
-  t.triggers_rev <- trigger :: t.triggers_rev;
   t.trig_count <- t.trig_count + 1;
   t.trig_seq <- t.trig_seq + 1;
   let key = (trigger.trig_table, trigger.trig_event) in
@@ -698,85 +702,81 @@ let create_trigger t trigger =
   in
   let schema = Table.schema (get_table t trigger.trig_table) in
   let slot c = try Some (Schema.col_index schema c) with _ -> None in
-  let e =
-    match trigger.relevance with
-    | None ->
-      { e_seq = t.trig_seq; e_trig = trigger; e_slots = None; e_pred = None }
-    | Some r ->
-      (* columns the schema does not know cannot be written by DML on this
-         table, so they are dropped from the observed set *)
-      { e_seq = t.trig_seq;
-        e_trig = trigger;
-        e_slots = Option.map (List.filter_map slot) r.rel_cols;
-        e_pred = r.rel_pred;
-      }
+  (* columns the schema does not know cannot be written by DML on this
+     table, so they are dropped from the observed set *)
+  let e_slots =
+    Option.bind trigger.relevance (fun r -> Option.map (List.filter_map slot) r.rel_cols)
   in
+  let e_index =
+    match trigger.relevance with
+    | None -> Plain
+    | Some r -> (
+      match Option.bind r.rel_eq (fun (c, v) -> Option.map (fun s -> (s, v)) (slot c)) with
+      | Some (s, v) -> By_val (s, val_key v)
+      | None -> (
+        (* the column index only discriminates UPDATE statements (every
+           column "changes" under INSERT/DELETE) *)
+        match trigger.trig_event, e_slots with
+        | Update, Some (_ :: _ as slots) -> By_cols (List.sort_uniq compare slots)
+        | _ -> Plain))
+  in
+  let e =
+    { e_seq = t.trig_seq;
+      e_trig = trigger;
+      e_slots;
+      e_pred = Option.bind trigger.relevance (fun r -> r.rel_pred);
+      e_index;
+    }
+  in
+  Hashtbl.add t.trig_names trigger.trig_name e;
   b.b_entries_rev <- e :: b.b_entries_rev;
   b.b_stale <- true;
   b.b_size <- b.b_size + 1;
   if trigger.relevance <> None then b.b_rel_count <- b.b_rel_count + 1;
-  let indexed =
-    match trigger.relevance with
-    | None -> false
-    | Some r -> (
-      match Option.bind r.rel_eq (fun (c, v) -> Option.map (fun s -> (s, v)) (slot c)) with
-      | Some (s, v) ->
-        let key = (s, val_key v) in
-        let es = Option.value ~default:[] (Hashtbl.find_opt b.b_by_val key) in
-        Hashtbl.replace b.b_by_val key (e :: es);
-        if not (List.mem s b.b_eq_slots) then b.b_eq_slots <- s :: b.b_eq_slots;
-        true
-      | None -> (
-        (* the column index only discriminates UPDATE statements (every
-           column "changes" under INSERT/DELETE) *)
-        match trigger.trig_event, e.e_slots with
-        | Update, Some (_ :: _ as slots) ->
-          List.iter
-            (fun s ->
-              let es = Option.value ~default:[] (Hashtbl.find_opt b.b_by_col s) in
-              Hashtbl.replace b.b_by_col s (e :: es))
-            (List.sort_uniq compare slots);
-          true
-        | _ -> false))
-  in
-  if indexed then b.b_indexed <- b.b_indexed + 1
-  else b.b_plain_rev <- e :: b.b_plain_rev
+  let add tbl k = Hashtbl.replace tbl k (e :: Option.value ~default:[] (Hashtbl.find_opt tbl k)) in
+  match e_index with
+  | Plain -> b.b_plain_rev <- e :: b.b_plain_rev
+  | By_val ((s, _) as k) ->
+    add b.b_by_val k;
+    if not (List.mem s b.b_eq_slots) then b.b_eq_slots <- s :: b.b_eq_slots;
+    b.b_indexed <- b.b_indexed + 1
+  | By_cols slots ->
+    List.iter (add b.b_by_col) slots;
+    b.b_indexed <- b.b_indexed + 1
 
+(* The name table yields the entry, and the entry names the index keys it
+   sits under, so no other key and no other bucket is touched.  The lists
+   it is unlinked from (the bucket's creation-order list, and its plain or
+   per-key lists) are still filtered, in time linear in their length. *)
 let drop_trigger t name =
-  (* an unknown name is answered from the name table, without walking the
-     catalog *)
-  match
-    if Hashtbl.mem t.trig_names name then
-      List.find_opt (fun tr -> tr.trig_name = name) t.triggers_rev
-    else None
-  with
+  match Hashtbl.find_opt t.trig_names name with
   | None -> ()
-  | Some tr ->
+  | Some e -> (
     Hashtbl.remove t.trig_names name;
-    t.triggers_rev <- List.filter (fun tr -> tr.trig_name <> name) t.triggers_rev;
     t.trig_count <- t.trig_count - 1;
-    let key = (tr.trig_table, tr.trig_event) in
-    (match Hashtbl.find_opt t.trig_index key with
+    let key = (e.e_trig.trig_table, e.e_trig.trig_event) in
+    match Hashtbl.find_opt t.trig_index key with
     | None -> ()
-    | Some b ->
-      let keep e = e.e_trig.trig_name <> name in
-      (match List.filter keep b.b_entries_rev with
-      | [] -> Hashtbl.remove t.trig_index key
-      | rest ->
-        b.b_entries_rev <- rest;
-        b.b_stale <- true;
-        b.b_size <- b.b_size - 1;
-        let was_plain = List.exists (fun e -> not (keep e)) b.b_plain_rev in
-        b.b_plain_rev <- List.filter keep b.b_plain_rev;
-        if was_plain then ()
-        else begin
-          b.b_indexed <- b.b_indexed - 1;
-          Hashtbl.iter (fun k es -> Hashtbl.replace b.b_by_col k (List.filter keep es)) (Hashtbl.copy b.b_by_col);
-          Hashtbl.iter (fun k es -> Hashtbl.replace b.b_by_val k (List.filter keep es)) (Hashtbl.copy b.b_by_val)
-        end;
-        (match tr.relevance with
-        | Some _ -> b.b_rel_count <- b.b_rel_count - 1
-        | None -> ())))
+    | Some b when b.b_size = 1 -> Hashtbl.remove t.trig_index key
+    | Some b -> (
+      let keep e' = e' != e in
+      let unlink tbl k =
+        match List.filter keep (Option.value ~default:[] (Hashtbl.find_opt tbl k)) with
+        | [] -> Hashtbl.remove tbl k
+        | rest -> Hashtbl.replace tbl k rest
+      in
+      b.b_entries_rev <- List.filter keep b.b_entries_rev;
+      b.b_stale <- true;
+      b.b_size <- b.b_size - 1;
+      if e.e_trig.relevance <> None then b.b_rel_count <- b.b_rel_count - 1;
+      match e.e_index with
+      | Plain -> b.b_plain_rev <- List.filter keep b.b_plain_rev
+      | By_val k ->
+        unlink b.b_by_val k;
+        b.b_indexed <- b.b_indexed - 1
+      | By_cols slots ->
+        List.iter (unlink b.b_by_col) slots;
+        b.b_indexed <- b.b_indexed - 1))
 
 let triggers_on t ~table ~event =
   match Hashtbl.find_opt t.trig_index (table, event) with
@@ -786,4 +786,6 @@ let triggers_on t ~table ~event =
 let trigger_count t = t.trig_count
 
 let trigger_sql t =
-  List.rev_map (fun tr -> (tr.trig_name, tr.sql_text)) t.triggers_rev
+  Hashtbl.fold (fun _ e acc -> e :: acc) t.trig_names []
+  |> List.sort (fun a b -> compare a.e_seq b.e_seq)
+  |> List.map (fun e -> (e.e_trig.trig_name, e.e_trig.sql_text))

@@ -27,6 +27,12 @@ type counters = {
 let create_counters () =
   { plans_compiled = 0; compiled_execs = 0; build_cache_hits = 0; build_cache_misses = 0 }
 
+let reset_counters c =
+  c.plans_compiled <- 0;
+  c.compiled_execs <- 0;
+  c.build_cache_hits <- 0;
+  c.build_cache_misses <- 0
+
 (* Per-operator annotation, updated on every execution.  [a_label] encodes
    the *physical* decision made at compile time (INL vs hash join, probe
    kind, cached build side), so EXPLAIN shows what will actually run;

@@ -28,6 +28,7 @@ type counters = {
 }
 
 val create_counters : unit -> counters
+val reset_counters : counters -> unit
 
 type t
 

@@ -7,33 +7,30 @@ type rel = {
    source description.  Owned by the evaluation context (each manager keeps
    its own accumulator), so concurrent managers cannot corrupt each other's
    counters.  Cheap enough to keep always-on; tests use it to assert that
-   affected-key pushdown avoids full scans. *)
-type scan_stats = (string, int) Hashtbl.t
+   affected-key pushdown avoids full scans.
 
-let create_scan_stats () : scan_stats = Hashtbl.create 16
-
-let count_scan (stats : scan_stats) name n =
-  Hashtbl.replace stats name (n + Option.value ~default:0 (Hashtbl.find_opt stats name))
-
-let reset_scan_stats (stats : scan_stats) = Hashtbl.reset stats
-
-(* Fold [src] into [dst]: the firing path counts each firing privately
-   (for its windowed scan total) and then merges into the manager's. *)
-let merge_scan_stats ~into:(dst : scan_stats) (src : scan_stats) =
-  Hashtbl.iter (fun k n -> count_scan dst k n) src
-
-(* Per-operator output-cardinality keys (["op:select"], ["op:join"], ...)
+   Per-operator output-cardinality keys (["op:select"], ["op:join"], ...)
    share the table with source-scan keys but measure something else, so the
-   scan total — used by tests to assert pushdown avoided full scans — must
-   not include them. *)
-let is_op_key k = String.length k >= 3 && String.sub k 0 3 = "op:"
+   running scan total — which tests assert on and the firing path
+   differences per firing — leaves them out. *)
+type scan_stats = { by_source : (string, int) Hashtbl.t; mutable total : int }
 
-let scan_stats_total (stats : scan_stats) =
-  Hashtbl.fold (fun k n acc -> if is_op_key k then acc else acc + n) stats 0
+let create_scan_stats () = { by_source = Hashtbl.create 16; total = 0 }
 
-let scan_stats_report (stats : scan_stats) =
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) stats []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
+let count_scan stats name n =
+  Hashtbl.replace stats.by_source name
+    (n + Option.value ~default:0 (Hashtbl.find_opt stats.by_source name));
+  if not (String.starts_with ~prefix:"op:" name) then stats.total <- stats.total + n
+
+let reset_scan_stats stats =
+  Hashtbl.reset stats.by_source;
+  stats.total <- 0
+
+let scan_stats_total stats = stats.total
+
+let scan_stats_report stats =
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) stats.by_source []
+  |> List.sort (fun (ka, a) (kb, b) -> if a <> b then compare b a else compare ka kb)
 
 type ctx = {
   db : Database.t;

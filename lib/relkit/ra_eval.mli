@@ -28,15 +28,11 @@ type scan_stats
 val create_scan_stats : unit -> scan_stats
 val count_scan : scan_stats -> string -> int -> unit
 val reset_scan_stats : scan_stats -> unit
+
+(** Rows counted under source keys (the ["op:"] keys excluded); O(1). *)
 val scan_stats_total : scan_stats -> int
 
-(** Adds every per-source count of [src] into [into].  The firing path
-    accumulates each firing into private stats (its total feeds the
-    per-group [scan_rows] window series) and merges them into the
-    manager's shared accumulator. *)
-val merge_scan_stats : into:scan_stats -> scan_stats -> unit
-
-(** Per-source row counts, highest first. *)
+(** Per-source row counts, highest first, ties by name. *)
 val scan_stats_report : scan_stats -> (string * int) list
 
 (** Evaluation context: the (post-update) database plus the transition

@@ -424,48 +424,34 @@ let report t =
          (Server.clients_evicted srv) (Server.deadline_ms srv)));
   Buffer.contents buf
 
-(* Per-subscriber counters and gauges plus delivery latency histograms, in
-   Prometheus text exposition format; appended to the runtime's own
-   {!Runtime.metrics_prometheus} by the CLI. *)
-let metrics_prometheus t =
-  let per f = List.rev_map (fun (name, s) -> (name, f s.sb_queue)) t.subs in
-  let buf = Buffer.create 1024 in
-  if t.subs <> [] then begin
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_counters
-         ~metric:"trigview_subscription_enqueued_total" (per Squeue.enqueued));
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_counters
-         ~metric:"trigview_subscription_delivered_total" (per Squeue.delivered));
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_counters
-         ~metric:"trigview_subscription_dropped_total" (per Squeue.dropped));
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_counters
-         ~metric:"trigview_subscription_coalesced_total" (per Squeue.coalesced));
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_gauges ~metric:"trigview_subscription_depth"
-         (per Squeue.depth))
-  end;
-  (match server t with
-  | None -> ()
-  | Some srv ->
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_counters ~metric:"trigview_subscribe_server_total"
-         [ ("published", Server.published srv);
-           ("frames_sent", Server.frames_sent srv);
-           ("clients_dropped", Server.clients_dropped srv);
-           ("clients_evicted", Server.clients_evicted srv);
-         ]);
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_gauges
-         ~metric:"trigview_subscribe_server_deadline_ms"
-         [ ("configured", Server.deadline_ms srv) ]);
-    Buffer.add_string buf
-      (Obs.Metrics.prometheus_gauges ~metric:"trigview_subscribe_server_clients"
-         [ ("connected", Server.client_count srv) ]));
-  Buffer.add_string buf
-    (Obs.Metrics.registry_to_prometheus ~metric:"trigview_delivery_ns" t.registry);
-  Buffer.contents buf
+(* The hub's metric families, declared once: per-subscription queue
+   counters and depth (present once a subscription exists), the socket
+   server's counters and gauges (present while one is attached), and the
+   per-subscription delivery latencies.  {!Api} serves them after the
+   runtime's own families. *)
+let families t =
+  let open Obs.Metrics in
+  let per f () = List.rev_map (fun (name, s) -> (name, f s.sb_queue)) t.subs in
+  [ counter "trigview_subscription_enqueued_total" (per Squeue.enqueued);
+    counter "trigview_subscription_delivered_total" (per Squeue.delivered);
+    counter "trigview_subscription_dropped_total" (per Squeue.dropped);
+    counter "trigview_subscription_coalesced_total" (per Squeue.coalesced);
+    gauge "trigview_subscription_depth" (per Squeue.depth);
+  ]
+  @ (match server t with
+    | None -> []
+    | Some srv ->
+      [ counter "trigview_subscribe_server_total" (fun () ->
+            [ ("published", Server.published srv);
+              ("frames_sent", Server.frames_sent srv);
+              ("clients_dropped", Server.clients_dropped srv);
+              ("clients_evicted", Server.clients_evicted srv);
+            ]);
+        gauge "trigview_subscribe_server_deadline_ms" (fun () ->
+            [ ("configured", Server.deadline_ms srv) ]);
+        gauge "trigview_subscribe_server_clients" (fun () ->
+            [ ("connected", Server.client_count srv) ]);
+      ])
+  @ [ histogram "trigview_delivery_ns" (fun () -> histograms t.registry) ]
 
-let delivery_latencies t = Obs.Metrics.histograms t.registry
+let metrics_prometheus t = Obs.Metrics.prometheus (families t)

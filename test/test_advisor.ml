@@ -262,20 +262,25 @@ let test_drop_unregisters_telemetry () =
     (List.mem "t" names_before);
   Alcotest.(check bool) "firing histogram live" true
     (List.exists (fun n -> contains n "firing:g") names_before);
-  Alcotest.(check bool) "window series live" true
-    (List.exists
-       (fun n -> contains n "firings:g")
-       (Obs.Window.names (Database.window db)));
+  let group_series () =
+    List.filter
+      (fun n ->
+        List.exists
+          (fun pfx -> contains n (pfx ^ ":g"))
+          [ "firings"; "latency_ns"; "pairs"; "kept"; "spurious"; "scan_rows" ])
+      (Obs.Window.names (Database.window db))
+  in
+  (* no statement here leaves OLD = NEW, so [spurious] never registers *)
+  Alcotest.(check (list string)) "window series live"
+    [ "firings:g0"; "kept:g0"; "latency_ns:g0"; "pairs:g0"; "scan_rows:g0" ]
+    (group_series ());
   Trigview.Runtime.drop_trigger mgr "t";
   let names_after = List.map fst (Trigview.Runtime.latencies mgr) in
   Alcotest.(check bool) "trigger histogram gone" false
     (List.mem "t" names_after);
   Alcotest.(check bool) "firing histogram gone" false
     (List.exists (fun n -> contains n "firing:g") names_after);
-  Alcotest.(check bool) "window series gone" false
-    (List.exists
-       (fun n -> contains n "firings:g")
-       (Obs.Window.names (Database.window db)));
+  Alcotest.(check (list string)) "all six window series gone" [] (group_series ());
   Alcotest.(check int) "dropped counted" 1
     (Trigview.Runtime.stats mgr).Trigview.Runtime.triggers_dropped
 

@@ -600,10 +600,159 @@ let test_http_view_update () =
   Alcotest.(check bool) "carries the reason" true (contains r.r_body "\"reason\":")
 
 let test_http_metrics () =
-  with_api @@ fun _db _mgr _hub api ->
+  with_api @@ fun _db _mgr hub api ->
+  (* a subscription, a socket sink and one fired statement, so every hub
+     family has samples; the connection gauges depend on when the server
+     notices the earlier requests' closed sockets, so they are masked *)
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "trigview_http_%d.sock" (Unix.getpid ()))
+  in
+  let server = Subscribe.Server.create ~path:sock () in
+  Fun.protect ~finally:(fun () -> Subscribe.Server.stop server) @@ fun () ->
+  Subscribe.add_server hub server;
+  Subscribe.subscribe hub "feed AFTER UPDATE ON view('catalog')/product/vendor";
   ignore (request api "/healthz");
+  let r =
+    request api ~meth:"POST"
+      ~body:"UPDATE vendor SET price = 99.0 WHERE vid = 'Amazon'" "/sql"
+  in
+  Alcotest.(check int) "dml ok" 200 r.r_status;
   let r = request api "/metrics" in
   Alcotest.(check int) "200" 200 r.r_status;
+  Prom_inventory.check
+    ~timed:
+      [ "trigview_window_rate"; "trigview_window_ewma";
+        "trigview_recommended_strategy"; "trigview_http_connections" ]
+    "runtime, hub and http families"
+    [
+      "# TYPE trigview_runtime_total counter";
+      "trigview_runtime_total{name=\"sql_firings\"} 1";
+      "trigview_runtime_total{name=\"rows_computed\"} 1";
+      "trigview_runtime_total{name=\"actions_dispatched\"} 1";
+      "trigview_runtime_total{name=\"plans_compiled\"} 2";
+      "trigview_runtime_total{name=\"compiled_execs\"} 1";
+      "trigview_runtime_total{name=\"build_cache_hits\"} 0";
+      "trigview_runtime_total{name=\"build_cache_misses\"} 0";
+      "trigview_runtime_total{name=\"prefilter_skips\"} 3";
+      "trigview_runtime_total{name=\"independence_skips\"} 0";
+      "trigview_runtime_total{name=\"triggers_dropped\"} 0";
+      "# TYPE trigview_obs_config gauge";
+      "trigview_obs_config{name=\"trace_ring\"} 8192";
+      "trigview_obs_config{name=\"audit_ring\"} 4096";
+      "trigview_obs_config{name=\"window_buckets\"} 12";
+      "trigview_obs_config{name=\"window_width_ms\"} 5000";
+      "trigview_obs_config{name=\"request_deadline_ms\"} 10000";
+      "# TYPE trigview_window_rate gauge";
+      "trigview_window_rate{name=\"dml:product\"} _";
+      "trigview_window_rate{name=\"dml:trigconsts0\"} _";
+      "trigview_window_rate{name=\"dml:vendor\"} _";
+      "trigview_window_rate{name=\"dml_rows:product\"} _";
+      "trigview_window_rate{name=\"dml_rows:trigconsts0\"} _";
+      "trigview_window_rate{name=\"dml_rows:vendor\"} _";
+      "trigview_window_rate{name=\"firings:g0\"} _";
+      "trigview_window_rate{name=\"kept:g0\"} _";
+      "trigview_window_rate{name=\"latency_ns:g0\"} _";
+      "trigview_window_rate{name=\"pairs:g0\"} _";
+      "trigview_window_rate{name=\"scan_rows:g0\"} _";
+      "trigview_window_rate{name=\"skips:prefilter\"} _";
+      "# TYPE trigview_window_ewma gauge";
+      "trigview_window_ewma{name=\"dml:product\"} _";
+      "trigview_window_ewma{name=\"dml:trigconsts0\"} _";
+      "trigview_window_ewma{name=\"dml:vendor\"} _";
+      "trigview_window_ewma{name=\"dml_rows:product\"} _";
+      "trigview_window_ewma{name=\"dml_rows:trigconsts0\"} _";
+      "trigview_window_ewma{name=\"dml_rows:vendor\"} _";
+      "trigview_window_ewma{name=\"firings:g0\"} _";
+      "trigview_window_ewma{name=\"kept:g0\"} _";
+      "trigview_window_ewma{name=\"latency_ns:g0\"} _";
+      "trigview_window_ewma{name=\"pairs:g0\"} _";
+      "trigview_window_ewma{name=\"scan_rows:g0\"} _";
+      "trigview_window_ewma{name=\"skips:prefilter\"} _";
+      "# TYPE trigview_recommended_strategy gauge";
+      "trigview_recommended_strategy{name=\"sub$feed\"} _";
+      "# TYPE trigview_scan_rows_total counter";
+      "trigview_scan_rows_total{name=\"delta:vendor\"} 2";
+      "trigview_scan_rows_total{name=\"nabla:vendor\"} 2";
+      "trigview_scan_rows_total{name=\"scan:trigconsts0\"} 1";
+      "# TYPE trigview_probe_total counter";
+      "trigview_probe_total{name=\"product/pk_probes\"} 13";
+      "trigview_probe_total{name=\"product/pk_hits\"} 10";
+      "trigview_probe_total{name=\"product/idx_probes\"} 0";
+      "trigview_probe_total{name=\"product/idx_hits\"} 0";
+      "trigview_probe_total{name=\"product/scan_lookups\"} 0";
+      "trigview_probe_total{name=\"product/lookup_cache_hits\"} 0";
+      "trigview_probe_total{name=\"trigconsts0/pk_probes\"} 1";
+      "trigview_probe_total{name=\"trigconsts0/pk_hits\"} 0";
+      "trigview_probe_total{name=\"trigconsts0/idx_probes\"} 0";
+      "trigview_probe_total{name=\"trigconsts0/idx_hits\"} 0";
+      "trigview_probe_total{name=\"trigconsts0/scan_lookups\"} 0";
+      "trigview_probe_total{name=\"trigconsts0/lookup_cache_hits\"} 0";
+      "trigview_probe_total{name=\"vendor/pk_probes\"} 9";
+      "trigview_probe_total{name=\"vendor/pk_hits\"} 2";
+      "trigview_probe_total{name=\"vendor/idx_probes\"} 0";
+      "trigview_probe_total{name=\"vendor/idx_hits\"} 0";
+      "trigview_probe_total{name=\"vendor/scan_lookups\"} 0";
+      "trigview_probe_total{name=\"vendor/lookup_cache_hits\"} 0";
+      "# TYPE trigview_latency_ns histogram";
+      "trigview_latency_ns_bucket{name=\"firing:g0:vendor\",le=\"+Inf\"} 1";
+      "trigview_latency_ns_sum{name=\"firing:g0:vendor\"} _";
+      "trigview_latency_ns_count{name=\"firing:g0:vendor\"} 1";
+      "trigview_latency_ns_bucket{name=\"sub$feed\",le=\"+Inf\"} 1";
+      "trigview_latency_ns_sum{name=\"sub$feed\"} _";
+      "trigview_latency_ns_count{name=\"sub$feed\"} 1";
+      "# TYPE trigview_audit_total counter";
+      "trigview_audit_total{name=\"records\"} 0";
+      "trigview_audit_total{name=\"dropped\"} 0";
+      "# TYPE trigview_subscription_enqueued_total counter";
+      "trigview_subscription_enqueued_total{name=\"feed\"} 1";
+      "# TYPE trigview_subscription_delivered_total counter";
+      "trigview_subscription_delivered_total{name=\"feed\"} 1";
+      "# TYPE trigview_subscription_dropped_total counter";
+      "trigview_subscription_dropped_total{name=\"feed\"} 0";
+      "# TYPE trigview_subscription_coalesced_total counter";
+      "trigview_subscription_coalesced_total{name=\"feed\"} 0";
+      "# TYPE trigview_subscription_depth gauge";
+      "trigview_subscription_depth{name=\"feed\"} 0";
+      "# TYPE trigview_subscribe_server_total counter";
+      "trigview_subscribe_server_total{name=\"published\"} 1";
+      "trigview_subscribe_server_total{name=\"frames_sent\"} 0";
+      "trigview_subscribe_server_total{name=\"clients_dropped\"} 0";
+      "trigview_subscribe_server_total{name=\"clients_evicted\"} 0";
+      "# TYPE trigview_subscribe_server_deadline_ms gauge";
+      "trigview_subscribe_server_deadline_ms{name=\"configured\"} 10000";
+      "# TYPE trigview_subscribe_server_clients gauge";
+      "trigview_subscribe_server_clients{name=\"connected\"} 0";
+      "# TYPE trigview_delivery_ns histogram";
+      "trigview_delivery_ns_bucket{name=\"deliver:feed\",le=\"+Inf\"} 1";
+      "trigview_delivery_ns_sum{name=\"deliver:feed\"} _";
+      "trigview_delivery_ns_count{name=\"deliver:feed\"} 1";
+      "# TYPE trigview_http_total counter";
+      "trigview_http_total{name=\"requests\"} 3";
+      "trigview_http_total{name=\"responses\"} 2";
+      "trigview_http_total{name=\"overloads\"} 0";
+      "trigview_http_total{name=\"deadline_aborts\"} 0";
+      "trigview_http_total{name=\"clients_evicted\"} 0";
+      "trigview_http_total{name=\"clients_dropped\"} 0";
+      "trigview_http_total{name=\"sse_streams\"} 0";
+      "trigview_http_total{name=\"sse_events_sent\"} 0";
+      "trigview_http_total{name=\"published\"} 1";
+      "# TYPE trigview_http_connections gauge";
+      "trigview_http_connections{name=\"connected\"} _";
+      "trigview_http_connections{name=\"inflight\"} _";
+      "# TYPE trigview_http_config gauge";
+      "trigview_http_config{name=\"deadline_ms\"} 10000";
+      "trigview_http_config{name=\"max_inflight\"} 64";
+      "# TYPE trigview_http_latency_ns histogram";
+      "trigview_http_latency_ns_bucket{name=\"http:GET /healthz\",le=\"+Inf\"} 1";
+      "trigview_http_latency_ns_sum{name=\"http:GET /healthz\"} _";
+      "trigview_http_latency_ns_count{name=\"http:GET /healthz\"} 1";
+      "trigview_http_latency_ns_bucket{name=\"http:POST /sql\",le=\"+Inf\"} 1";
+      "trigview_http_latency_ns_sum{name=\"http:POST /sql\"} _";
+      "trigview_http_latency_ns_count{name=\"http:POST /sql\"} 1";
+
+    ]
+    r.r_body;
   Alcotest.(check bool) "runtime series" true
     (contains r.r_body "trigview_runtime_total");
   Alcotest.(check bool) "http counters" true

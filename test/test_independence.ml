@@ -191,12 +191,12 @@ let mk_flat_db () =
   Database.load_rows db ~table:"lone" [ [| Value.String "l0"; Value.Float 0.0 |] ];
   db
 
-let watch db fired name =
+let watch ?relevance db fired name =
   Database.create_trigger db
     { Database.trig_name = name;
       trig_table = "flat";
       trig_event = Database.Update;
-      relevance = None;
+      relevance;
       sql_text = "(test)";
       body = (fun _ -> fired := name :: !fired);
     }
@@ -222,7 +222,36 @@ let test_registration_order () =
   ignore (update_row db "f0" (set_val 2.0));
   Alcotest.(check (list string)) "firing order after drop" [ "a"; "c"; "d" ]
     (List.rev !fired);
-  Alcotest.(check int) "cached catalog count" 3 (Database.trigger_count db)
+  Alcotest.(check int) "cached catalog count" 3 (Database.trigger_count db);
+  (* indexed entries: two share a (region, 'r0') value key, two share the
+     [val] column key; dropping one of each from the middle of the bucket
+     must leave its sibling reachable under the same key *)
+  let by_val = { Database.rel_cols = Some [ "region"; "val" ]; rel_pred = None;
+                 rel_eq = Some ("region", Value.String "r0") }
+  and by_col = { Database.rel_cols = Some [ "val" ]; rel_pred = None; rel_eq = None } in
+  watch ~relevance:by_val db fired "eq1";
+  watch ~relevance:by_col db fired "col1";
+  watch ~relevance:by_val db fired "eq2";
+  watch ~relevance:by_col db fired "col2";
+  watch db fired "e";
+  Database.drop_trigger db "eq1";
+  Database.drop_trigger db "col1";
+  fired := [];
+  ignore (update_row db "f0" (set_val 3.0));
+  Alcotest.(check (list string)) "firing order after indexed drops"
+    [ "a"; "c"; "d"; "eq2"; "col2"; "e" ] (List.rev !fired);
+  Alcotest.(check (list string)) "catalog in creation order"
+    [ "a"; "c"; "d"; "eq2"; "col2"; "e" ]
+    (List.map fst (Database.trigger_sql db));
+  Alcotest.(check int) "count after indexed drops" 6 (Database.trigger_count db);
+  (* the last entry under each key takes the key with it *)
+  Database.drop_trigger db "eq2";
+  Database.drop_trigger db "col2";
+  fired := [];
+  ignore (update_row db "f0" (set_val 4.0));
+  Alcotest.(check (list string)) "plain entries still fire" [ "a"; "c"; "d"; "e" ]
+    (List.rev !fired);
+  Alcotest.(check int) "count after emptying the keys" 4 (Database.trigger_count db)
 
 let test_prefilter_skip_accounting () =
   let db = mk_flat_db () in

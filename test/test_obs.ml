@@ -202,6 +202,120 @@ let test_prometheus_exposition () =
       "trigview_audit_total{name=\"records\"} 1";
     ]
 
+(* The full family/label inventory, with durability attached so every
+   runtime family is present.  Window rates and the advisor's pick depend
+   on timing, so their values are masked. *)
+let test_prometheus_inventory () =
+  let mgr = setup_live () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "trigview_obs_%d" (Unix.getpid ()))
+  in
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  rm_rf dir;
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Trigview.Runtime.attach_durability mgr ~data_dir:dir;
+  ignore
+    (Database.update_pk (Trigview.Runtime.database mgr) ~table:"product"
+       ~pk:[ Value.String "P2" ]
+       ~set:(fun r -> [| r.(0); r.(1); Value.Float 21.0 |]));
+  let out = Trigview.Runtime.metrics_prometheus mgr in
+  Trigview.Runtime.detach_durability mgr;
+  Prom_inventory.check
+    ~timed:
+      [ "trigview_window_rate"; "trigview_window_ewma";
+        "trigview_recommended_strategy" ]
+    "runtime families"
+    [
+      "# TYPE trigview_runtime_total counter";
+      "trigview_runtime_total{name=\"sql_firings\"} 2";
+      "trigview_runtime_total{name=\"rows_computed\"} 2";
+      "trigview_runtime_total{name=\"actions_dispatched\"} 2";
+      "trigview_runtime_total{name=\"plans_compiled\"} 1";
+      "trigview_runtime_total{name=\"compiled_execs\"} 2";
+      "trigview_runtime_total{name=\"build_cache_hits\"} 0";
+      "trigview_runtime_total{name=\"build_cache_misses\"} 0";
+      "trigview_runtime_total{name=\"prefilter_skips\"} 1";
+      "trigview_runtime_total{name=\"independence_skips\"} 0";
+      "trigview_runtime_total{name=\"triggers_dropped\"} 0";
+      "# TYPE trigview_obs_config gauge";
+      "trigview_obs_config{name=\"trace_ring\"} 8192";
+      "trigview_obs_config{name=\"audit_ring\"} 4096";
+      "trigview_obs_config{name=\"window_buckets\"} 12";
+      "trigview_obs_config{name=\"window_width_ms\"} 5000";
+      "trigview_obs_config{name=\"request_deadline_ms\"} 10000";
+      "# TYPE trigview_window_rate gauge";
+      "trigview_window_rate{name=\"dml:product\"} _";
+      "trigview_window_rate{name=\"dml:trigconsts0\"} _";
+      "trigview_window_rate{name=\"dml_rows:product\"} _";
+      "trigview_window_rate{name=\"dml_rows:trigconsts0\"} _";
+      "trigview_window_rate{name=\"firings:g0\"} _";
+      "trigview_window_rate{name=\"kept:g0\"} _";
+      "trigview_window_rate{name=\"latency_ns:g0\"} _";
+      "trigview_window_rate{name=\"pairs:g0\"} _";
+      "trigview_window_rate{name=\"scan_rows:g0\"} _";
+      "trigview_window_rate{name=\"skips:prefilter\"} _";
+      "# TYPE trigview_window_ewma gauge";
+      "trigview_window_ewma{name=\"dml:product\"} _";
+      "trigview_window_ewma{name=\"dml:trigconsts0\"} _";
+      "trigview_window_ewma{name=\"dml_rows:product\"} _";
+      "trigview_window_ewma{name=\"dml_rows:trigconsts0\"} _";
+      "trigview_window_ewma{name=\"firings:g0\"} _";
+      "trigview_window_ewma{name=\"kept:g0\"} _";
+      "trigview_window_ewma{name=\"latency_ns:g0\"} _";
+      "trigview_window_ewma{name=\"pairs:g0\"} _";
+      "trigview_window_ewma{name=\"scan_rows:g0\"} _";
+      "trigview_window_ewma{name=\"skips:prefilter\"} _";
+      "# TYPE trigview_recommended_strategy gauge";
+      "trigview_recommended_strategy{name=\"t\"} _";
+      "# TYPE trigview_scan_rows_total counter";
+      "trigview_scan_rows_total{name=\"delta:product\"} 4";
+      "trigview_scan_rows_total{name=\"nabla:product\"} 4";
+      "trigview_scan_rows_total{name=\"scan:trigconsts0\"} 2";
+      "# TYPE trigview_probe_total counter";
+      "trigview_probe_total{name=\"product/pk_probes\"} 8";
+      "trigview_probe_total{name=\"product/pk_hits\"} 6";
+      "trigview_probe_total{name=\"product/idx_probes\"} 0";
+      "trigview_probe_total{name=\"product/idx_hits\"} 0";
+      "trigview_probe_total{name=\"product/scan_lookups\"} 0";
+      "trigview_probe_total{name=\"product/lookup_cache_hits\"} 0";
+      "trigview_probe_total{name=\"trigconsts0/pk_probes\"} 1";
+      "trigview_probe_total{name=\"trigconsts0/pk_hits\"} 0";
+      "trigview_probe_total{name=\"trigconsts0/idx_probes\"} 0";
+      "trigview_probe_total{name=\"trigconsts0/idx_hits\"} 0";
+      "trigview_probe_total{name=\"trigconsts0/scan_lookups\"} 0";
+      "trigview_probe_total{name=\"trigconsts0/lookup_cache_hits\"} 0";
+      "# TYPE trigview_latency_ns histogram";
+      "trigview_latency_ns_bucket{name=\"firing:g0:product\",le=\"+Inf\"} 2";
+      "trigview_latency_ns_sum{name=\"firing:g0:product\"} _";
+      "trigview_latency_ns_count{name=\"firing:g0:product\"} 2";
+      "trigview_latency_ns_bucket{name=\"t\",le=\"+Inf\"} 2";
+      "trigview_latency_ns_sum{name=\"t\"} _";
+      "trigview_latency_ns_count{name=\"t\"} 2";
+      "# TYPE trigview_durability_ns histogram";
+      "trigview_durability_ns_bucket{name=\"checkpoint\",le=\"+Inf\"} 1";
+      "trigview_durability_ns_sum{name=\"checkpoint\"} _";
+      "trigview_durability_ns_count{name=\"checkpoint\"} 1";
+      "trigview_durability_ns_bucket{name=\"wal.append\",le=\"+Inf\"} 1";
+      "trigview_durability_ns_sum{name=\"wal.append\"} _";
+      "trigview_durability_ns_count{name=\"wal.append\"} 1";
+      "trigview_durability_ns_bucket{name=\"wal.fsync\",le=\"+Inf\"} 1";
+      "trigview_durability_ns_sum{name=\"wal.fsync\"} _";
+      "trigview_durability_ns_count{name=\"wal.fsync\"} 1";
+      "# TYPE trigview_audit_total counter";
+      "trigview_audit_total{name=\"records\"} 2";
+      "trigview_audit_total{name=\"dropped\"} 0";
+
+    ]
+    out
+
 let () =
   Alcotest.run "obs"
     [ ( "ring",
@@ -217,5 +331,6 @@ let () =
         [ Alcotest.test_case "JSON well-formed" `Quick test_json_exports_well_formed;
           Alcotest.test_case "chrome trace" `Quick test_chrome_trace_structure;
           Alcotest.test_case "prometheus" `Quick test_prometheus_exposition;
+          Alcotest.test_case "prometheus inventory" `Quick test_prometheus_inventory;
         ] );
     ]
