@@ -78,10 +78,6 @@ type tuning = {
   window_width_ms : int;
       (* ... and the width of each, so the window spans
          buckets × width_ms of recent traffic *)
-  request_deadline_ms : int;
-      (* per-request deadline for the network servers (socket hello /
-         write-drain eviction, HTTP request + long-poll abort); 0
-         disables deadlines *)
 }
 
 let default_tuning =
@@ -91,7 +87,6 @@ let default_tuning =
     independence = true;
     window_buckets = Obs.Knobs.window_buckets ();
     window_width_ms = Obs.Knobs.window_width_ms ();
-    request_deadline_ms = Obs.Knobs.request_deadline_ms ();
   }
 
 (* --- execution plan per (group, table): pushed-down or middleware --- *)
@@ -2505,7 +2500,6 @@ let obs_config t =
         ("audit_ring", Obs.Audit.limit (Database.audit t.db));
         ("window_buckets", Obs.Window.buckets w);
         ("window_width_ms", Obs.Window.width_ms w);
-        ("request_deadline_ms", t.tuning.request_deadline_ms);
       ])
 
 let window_snapshot t =

@@ -99,14 +99,9 @@ type tuning = {
   window_width_ms : int;
       (** bucket width in milliseconds (defaults from
           [$TRIGVIEW_WINDOW_WIDTH_MS], else 5000) *)
-  request_deadline_ms : int;
-      (** per-request deadline applied by the network servers (Unix-socket
-          hello/write-drain eviction, HTTP request parse, handler and
-          long-poll hold); defaults from [$TRIGVIEW_REQUEST_DEADLINE_MS],
-          else 10000; [0] disables deadline enforcement *)
 }
 
-(** Every toggle on; the window and deadline settings come from their
+(** Every toggle on; the window settings come from their
     environment variables. *)
 val default_tuning : tuning
 

@@ -1,13 +1,14 @@
 (** Hand-rolled HTTP/1.1 server over [Unix] — the network front door's
     transport layer.
 
-    Same architecture as the Unix-socket notification server
-    ({!Subscribe.Server}): single-threaded and step-driven.  [step] runs
+    A codec over {!Subscribe.Conn}, the connection core it shares with
+    the Unix-socket notification server ({!Subscribe.Server}):
+    single-threaded and step-driven.  [step] runs
     one [select] round — accept, read, parse, dispatch, write — and
     returns; the owner decides when to pump, so the server composes with
-    the synchronous trigger runtime in one thread while [publish] may be
-    called from another domain (the three state-touching entry points
-    serialize on one coarse mutex).
+    the synchronous trigger runtime in one thread.  [publish] may be
+    called from any domain: the core serializes it with [step] and
+    [stop] on one coarse mutex.
 
     The handler (installed with {!set_handler}) is the routing layer; it
     runs inside [step] on the pumping thread, so database reads, DML and
@@ -26,11 +27,13 @@
       publish or the deadline, then answered with a JSON batch
       [{"cursor": C, "events": [...]}].
 
-    Job hygiene (the basex-utils watchdog discipline):
-    - every request has a deadline ([deadline_ms], default the
+    Job hygiene (the basex-utils watchdog discipline, in the core):
+    - every connection has one deadline ([deadline_ms], default the
       [TRIGVIEW_REQUEST_DEADLINE_MS] knob): exceeded while reading →
       408; while holding a long-poll → empty batch; while draining a
       response or streaming → eviction;
+    - a connection is not read while its response drains, so pipelined
+      requests wait in the kernel, not in server memory;
     - admission control: when [max_inflight] connections are already
       streaming/held, new requests get 503 with [Retry-After]
       ([overloads] counts them);
@@ -112,6 +115,9 @@ val clients_evicted : t -> int
 
 (** Slow consumers over [max_buffered]. *)
 val clients_dropped : t -> int
+
+(** Bytes read from clients but not yet consumed, over all connections. *)
+val buffered_input : t -> int
 
 (** Lifetime streams opened. *)
 val sse_streams : t -> int

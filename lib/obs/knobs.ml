@@ -32,8 +32,9 @@ let window_buckets () =
 let window_width_ms () =
   env_int "TRIGVIEW_WINDOW_WIDTH_MS" default_window_width_ms
 
-(* Per-request deadline for the network servers (socket hello/write-drain
-   eviction, HTTP request/long-poll abort).  0 disables deadlines. *)
+(* Per-connection deadline for the network servers (socket hello/write-drain
+   eviction, HTTP request/long-poll abort), read once by their connection
+   core when no [deadline_ms] is given.  0 disables deadlines. *)
 let default_request_deadline_ms = 10_000
 
 let request_deadline_ms () =

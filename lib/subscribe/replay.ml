@@ -14,9 +14,10 @@
      evicted the caller is told the oldest retained gseq first so it
      can emit a transport-appropriate gap marker.
 
-   Not thread-safe by itself: owners serialize access under their own
-   lock (the socket server's publish/step/stop mutex, the HTTP
-   server's connection lock). *)
+   Not thread-safe by itself: both owners (the socket server and the
+   HTTP server) touch their ring only under the lock of their shared
+   connection core ({!Conn.locked}), which serializes publish, step and
+   stop. *)
 
 type 'a t = {
   ring : (int * 'a) option array;  (* (gseq, entry) slots *)

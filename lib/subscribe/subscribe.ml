@@ -29,6 +29,7 @@
 
 module Squeue = Squeue
 module Replay = Replay
+module Conn = Conn
 module Notification = Notification
 module Server = Server
 module Runtime = Trigview.Runtime

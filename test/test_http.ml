@@ -563,6 +563,70 @@ let test_http_fuzz =
       (* whatever the junk did, a well-formed request still succeeds *)
       (request api "/healthz").r_status = 200)
 
+let test_http_pipelined_input_bounded () =
+  (* A client pipelines ~3 MB of requests without reading a reply.  The
+     server reads a connection only while it is between requests, so the
+     unread requests wait in the kernel under TCP backpressure and the
+     server's buffered input stays within one read chunk plus one
+     maximal request.  Then every reply arrives, in order. *)
+  let h = Httpd.create ~port:0 () in
+  Fun.protect ~finally:(fun () -> Httpd.stop h) @@ fun () ->
+  Httpd.set_handler h (fun req ->
+      Httpd.Respond { status = 200; headers = []; body = req.Httpd.query });
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  (* a small receive window, so unread replies back up quickly *)
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Httpd.port h));
+  Unix.set_nonblock fd;
+  let n = 100_000 in
+  let requests =
+    String.concat ""
+      (List.init n (fun i -> Printf.sprintf "GET /healthz?%d HTTP/1.1\r\n\r\n" i))
+  in
+  let expected =
+    String.concat ""
+      (List.init n (fun i ->
+           let body = string_of_int i in
+           Printf.sprintf
+             "HTTP/1.1 200 OK\r\ncontent-length: %d\r\nconnection: keep-alive\r\n\r\n%s"
+             (String.length body) body))
+  in
+  let bound = 65536 + (16 * 1024) + (1 lsl 20) in
+  let sent = ref 0 and peak = ref 0 in
+  let push () =
+    if !sent < String.length requests then
+      match Unix.write_substring fd requests !sent (String.length requests - !sent) with
+      | k -> sent := !sent + k
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  let pump () =
+    ignore (Httpd.step ~timeout_ms:1 h);
+    peak := max !peak (Httpd.buffered_input h)
+  in
+  (* phase 1: keep writing and pumping, reading nothing; room for the
+     server to read all of it at one chunk per round *)
+  for _ = 1 to 300 do
+    push ();
+    pump ()
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "buffered input %d within %d while unread" !peak bound)
+    true (!peak <= bound);
+  (* phase 2: read everything, still sending the rest *)
+  let got = Buffer.create (String.length expected) in
+  let rounds = ref 0 in
+  while Buffer.length got < String.length expected && !rounds < 200_000 do
+    incr rounds;
+    push ();
+    pump ();
+    ignore (recv_into fd got)
+  done;
+  Alcotest.(check bool) (Printf.sprintf "peak buffered input %d within %d" !peak bound)
+    true (!peak <= bound);
+  Alcotest.(check int) "all replies" (String.length expected) (Buffer.length got);
+  Alcotest.(check bool) "replies in request order" true (Buffer.contents got = expected)
+
 let test_http_view_update () =
   with_api @@ fun _db _mgr hub api ->
   Subscribe.subscribe hub
@@ -642,7 +706,6 @@ let test_http_metrics () =
       "trigview_obs_config{name=\"audit_ring\"} 4096";
       "trigview_obs_config{name=\"window_buckets\"} 12";
       "trigview_obs_config{name=\"window_width_ms\"} 5000";
-      "trigview_obs_config{name=\"request_deadline_ms\"} 10000";
       "# TYPE trigview_window_rate gauge";
       "trigview_window_rate{name=\"dml:product\"} _";
       "trigview_window_rate{name=\"dml:trigconsts0\"} _";
@@ -796,6 +859,8 @@ let () =
         ] );
       ( "robustness",
         [ Alcotest.test_case "malformed requests" `Quick test_http_malformed;
+          Alcotest.test_case "pipelined input stays bounded" `Quick
+            test_http_pipelined_input_bounded;
           QCheck_alcotest.to_alcotest test_http_fuzz;
         ] );
     ]

@@ -250,7 +250,6 @@ let test_prometheus_inventory () =
       "trigview_obs_config{name=\"audit_ring\"} 4096";
       "trigview_obs_config{name=\"window_buckets\"} 12";
       "trigview_obs_config{name=\"window_width_ms\"} 5000";
-      "trigview_obs_config{name=\"request_deadline_ms\"} 10000";
       "# TYPE trigview_window_rate gauge";
       "trigview_window_rate{name=\"dml:product\"} _";
       "trigview_window_rate{name=\"dml:trigconsts0\"} _";

@@ -622,6 +622,37 @@ let test_socket_gap_marker () =
   Unix.close fd;
   Server.stop server
 
+let test_socket_ack_by_value () =
+  (* the ack is the non-negative integer after "ack": — not the first
+     digits anywhere in the frame *)
+  List.iter
+    (fun (frame, want) ->
+      Alcotest.(check (option int)) frame want (Server.parse_ack frame))
+    [ ("{\"ack\": 5}", Some 5);
+      ("{\"ack\":12}", Some 12);
+      ("{ \"ack\" : 0 }", Some 0);
+      ("{\"v\": 7, \"ack\": 1}", Some 1);
+      ("{\"ack\": -3}", None);
+      ("{\"ack\": 1.5}", None);
+      ("{\"ack\": \"4\"}", None);
+      ("{\"note\": \"ack\", \"n\": 9}", None);
+      ("{\"n\": 9}", None);
+    ];
+  (* a hello naming cursor 1 beside another number replays 2..7 *)
+  let sock = fresh_socket_path () in
+  let server = Server.create ~path:sock () in
+  for i = 1 to 7 do
+    Server.publish server (Printf.sprintf "{\"n\": %d}" i)
+  done;
+  let fd = connect_client sock in
+  send_frame fd "{\"ack\": -3}";  (* ignored: not a hello *)
+  send_frame fd "{\"v\": 7, \"ack\": 1}";
+  let frames = recv_frames server fd ~want:6 in
+  Alcotest.(check (list int)) "replayed above the acked cursor" [ 2; 3; 4; 5; 6; 7 ]
+    (List.map gseq_of frames);
+  Unix.close fd;
+  Server.stop server
+
 let () =
   Alcotest.run "subscribe"
     [ ( "queue",
@@ -662,5 +693,6 @@ let () =
             test_socket_ack_cursor_redelivery;
           Alcotest.test_case "multiple clients" `Quick test_socket_multiple_clients;
           Alcotest.test_case "gap marker" `Quick test_socket_gap_marker;
+          Alcotest.test_case "ack parsed by value" `Quick test_socket_ack_by_value;
         ] );
     ]

@@ -377,6 +377,8 @@ let prop_old_graph_is_pre_state =
       let before = Eval.eval (Ra_eval.ctx_of_db db) (Fixtures.catalog_view ()) in
       let vendors = Table.to_rows (Database.get_table db "vendor") in
       let victim = List.nth vendors (i mod List.length vendors) in
+      (* setting the current price is a no-op update, which fires nothing *)
+      QCheck.assume (not (Value.equal victim.(2) (v_float price)));
       let ok = ref false in
       Database.create_trigger db
         { Database.trig_name = "capture";
