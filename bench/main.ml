@@ -18,8 +18,8 @@ module Runtime = Trigview.Runtime
 
 let dispatched = ref 0
 
-let mgr_of ?tuning strategy (built : Workloadlib.Workload.built) =
-  let mgr = Runtime.create ~strategy ?tuning built.Workloadlib.Workload.db in
+let mgr_of strategy (built : Workloadlib.Workload.built) =
+  let mgr = Runtime.create ~strategy built.Workloadlib.Workload.db in
   Runtime.define_view mgr ~name:"doc" built.Workloadlib.Workload.view_text;
   Runtime.register_action mgr ~name:"record" (fun _ -> incr dispatched);
   mgr
@@ -33,10 +33,9 @@ type sample = { wall_ms : float; cpu_ms : float }
 let nan_sample = { wall_ms = Float.nan; cpu_ms = Float.nan }
 
 (* Average ms per single-row leaf update. *)
-let time_point ?(updates = 40) ?tuning ?(trace = false) ?(audit = false) params
-    strategy =
+let time_point ?(updates = 40) ?(trace = false) ?(audit = false) params strategy =
   let built = Workloadlib.Workload.build params in
-  let mgr = mgr_of ?tuning strategy built in
+  let mgr = mgr_of strategy built in
   Workloadlib.Workload.install_triggers mgr params ~target_name:built.Workloadlib.Workload.top_names.(0);
   (* warm up: fault in indexes and shared plans *)
   for step = 0 to 2 do
@@ -68,20 +67,6 @@ let record ~fig ~row ~series sample =
 
 let json_float v =
   if Float.is_nan v then "null" else Printf.sprintf "%.6f" v
-
-(* GROUPED speedup from plan compilation: ratio of summed interpreter wall
-   time to summed compiled wall time over the fig 17 trigger counts. *)
-let fig17_grouped_speedup () =
-  let sum series =
-    List.fold_left
-      (fun acc (fig, _, s, sample) ->
-        if fig = "17" && s = series && not (Float.is_nan sample.wall_ms) then
-          acc +. sample.wall_ms
-        else acc)
-      0.0 !json_entries
-  in
-  let interp = sum "GROUPED-interp" and compiled = sum "GROUPED" in
-  if compiled > 0.0 && interp > 0.0 then interp /. compiled else Float.nan
 
 (* Audit-enabled overhead on the [overhead] figure, as a percentage of the
    everything-off baseline; CI gates on this staying under 10%. *)
@@ -128,9 +113,6 @@ let write_json ~full path =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"mode\": \"%s\",\n" (if full then "full" else "quick"));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"fig17_grouped_speedup\": %s,\n"
-       (json_float (fig17_grouped_speedup ())));
   Buffer.add_string buf
     (Printf.sprintf "  \"audit_overhead_pct\": %s,\n"
        (json_float (audit_overhead_pct ())));
@@ -218,11 +200,8 @@ let fig17 ~full =
   (* UNGROUPED evaluates one plan set per trigger per update; cap it so the
      sweep terminates (the paper's graph shows it diverging anyway) *)
   let ungrouped_cap = if full then 2_000 else 500 in
-  (* GRP-interp is GROUPED with plan compilation off: every firing goes
-     through the Ra_eval interpreter, i.e. the pre-compilation engine. *)
-  let interp_tuning = { Runtime.default_tuning with Runtime.compile_plans = false } in
   print_header_s "Figure 17: number of triggers vs avg time per update (wall/cpu ms)"
-    [ "#triggers"; "UNGROUPED"; "GROUPED"; "GROUPED-AGG"; "GRP-interp" ];
+    [ "#triggers"; "UNGROUPED"; "GROUPED"; "GROUPED-AGG" ];
   List.iter
     (fun n ->
       let row = string_of_int n in
@@ -236,15 +215,8 @@ let fig17 ~full =
       in
       let grouped = rec17 "GROUPED" (time_point ~updates p Runtime.Grouped) in
       let grouped_agg = rec17 "GROUPED-AGG" (time_point ~updates p Runtime.Grouped_agg) in
-      let interp =
-        rec17 "GROUPED-interp"
-          (time_point ~updates ~tuning:interp_tuning p Runtime.Grouped)
-      in
-      print_row_s row [ ungrouped; grouped; grouped_agg; interp ])
-    counts;
-  let sp = fig17_grouped_speedup () in
-  if not (Float.is_nan sp) then
-    Printf.printf "GROUPED compiled-vs-interpreted speedup (wall): %.2fx\n%!" sp
+      print_row_s row [ ungrouped; grouped; grouped_agg ])
+    counts
 
 (* --- Figure 18: varying the hierarchy depth --- *)
 
@@ -354,31 +326,6 @@ let compile_time ~full =
         [ (t1 -. t0) *. 1000.0; (t2 -. t1) *. 1000.0 /. float_of_int n ])
     [ 2; 3; 4; 5 ]
 
-(* --- ablation: the optimizer passes DESIGN.md calls out --- *)
-
-let ablation ~full =
-  let base = if full then Workloadlib.Workload.paper_defaults else Workloadlib.Workload.quick_defaults in
-  let p = { base with Workloadlib.Workload.leaf_tuples = 8_000; num_triggers = 100 } in
-  print_header_s
-    "Ablation: optimizer passes (GROUPED, 8k leaves, 100 triggers; wall/cpu ms/update)"
-    [ "variant"; "ms" ];
-  List.iter
-    (fun (label, tuning) ->
-      let s = time_point ~updates:10 ~tuning p Runtime.Grouped in
-      print_row_s label [ record ~fig:"ablation" ~row:label ~series:"GROUPED" s ])
-    [ ("all-on", Runtime.default_tuning);
-      ("no-sharing", { Runtime.default_tuning with Runtime.share_subplans = false });
-      ( "no-pushdown",
-        { Runtime.default_tuning with Runtime.push_affected_keys = false } );
-      ("no-compile", { Runtime.default_tuning with Runtime.compile_plans = false });
-      ( "none",
-        { Runtime.default_tuning with
-          Runtime.push_affected_keys = false;
-          share_subplans = false;
-          compile_plans = false;
-        } );
-    ]
-
 (* --- recovery_time: durability overhead is not a paper figure, but the
    north star (production service) needs restart cost to be predictable:
    recovery wall-clock must scale with the WAL tail, not the database --- *)
@@ -474,9 +421,9 @@ let phases ~full =
     (Printf.sprintf "Per-phase wall time (ms over %d updates, tracing on)" updates)
     ("strategy" :: phase_names);
   List.iter
-    (fun (series, strategy, tuning) ->
+    (fun (series, strategy) ->
       let built = Workloadlib.Workload.build p in
-      let mgr = mgr_of ?tuning strategy built in
+      let mgr = mgr_of strategy built in
       Workloadlib.Workload.install_triggers mgr p
         ~target_name:built.Workloadlib.Workload.top_names.(0);
       for step = 0 to 2 do
@@ -505,12 +452,7 @@ let phases ~full =
       in
       phase_entries := (series, row) :: !phase_entries;
       print_row series (List.map snd row))
-    [ ("GROUPED", Runtime.Grouped, None);
-      ("GROUPED-AGG", Runtime.Grouped_agg, None);
-      ( "GROUPED-interp",
-        Runtime.Grouped,
-        Some { Runtime.default_tuning with Runtime.compile_plans = false } );
-    ]
+    [ ("GROUPED", Runtime.Grouped); ("GROUPED-AGG", Runtime.Grouped_agg) ]
 
 (* --- overhead: cost of leaving span tracing / firing auditing enabled --- *)
 
@@ -1438,7 +1380,7 @@ let () =
     with
     | Some s -> String.split_on_char ',' s
     | None ->
-      [ "17"; "18"; "22"; "23"; "24"; "compile"; "ablation"; "recovery";
+      [ "17"; "18"; "22"; "23"; "24"; "compile"; "recovery";
         "phases"; "overhead"; "fanout"; "view_update"; "independence";
         "advisor"; "http" ]
   in
@@ -1456,7 +1398,6 @@ let () =
         | "23" -> fig23 ~full
         | "24" -> fig24 ~full
         | "compile" -> compile_time ~full
-        | "ablation" -> ablation ~full
         | "recovery" -> recovery_time ~full
         | "phases" -> phases ~full
         | "overhead" -> overhead ~full

@@ -72,13 +72,12 @@ let help_text =
   stats-json                  the same families as JSON, plus the
                               observatory and explain
   explain                     annotated plan per trigger group: compiled vs
-                              interpreted, join choices, last-run cardinalities
+                              middleware, join choices, last-run cardinalities
   explain-json                the same as JSON
   analyze                     workload-observatory report: per trigger the
                               observed windowed cost under the current
                               strategy, the modeled cost of each alternative,
-                              and a recommendation (incl. fragments worth
-                              materializing)
+                              and a recommendation
   analyze-json                the same as one JSON object
   tune [NAME|all]             apply the advisor's recommendations by re-arming
                               triggers live (default: all); logged so recovery

@@ -433,100 +433,13 @@ let invert_old_aggregates ~table t =
     xml = List.map (fun (o, tpl) -> (o, invert_template table tpl)) t.xml;
   }
 
-(* --- rendering (the tagger) --- *)
-
-let distinct_rows rows =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun row ->
-      let k = Array.to_list (Array.map Value.to_string row) in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.add seen k ();
-        true
-      end)
-    rows
-
-let rec node_fun ctx (rel : Ra_eval.rel) (tpl : template) : Value.t array -> Xval.t =
-  match tpl with
-  | T_atom (A_const v) -> fun _ -> Xval.atom v
-  | T_atom (A_col c) ->
-    let i = Ra_eval.col_index rel c in
-    fun row -> Xval.atom row.(i)
-  | T_elem { tag; attrs; content } ->
-    let attr_fs =
-      List.map
-        (fun (k, a) ->
-          match a with
-          | A_const v -> (k, fun (_ : Value.t array) -> v)
-          | A_col c ->
-            let i = Ra_eval.col_index rel c in
-            (k, fun row -> row.(i)))
-        attrs
-    in
-    let content_fs = List.map (node_fun ctx rel) content in
-    fun row ->
-      let attrs =
-        List.filter_map
-          (fun (k, f) ->
-            match f row with Value.Null -> None | v -> Some (k, Value.to_string v))
-          attr_fs
-      in
-      let children = List.concat_map (fun f -> Xval.to_nodes (f row)) content_fs in
-      Xval.node (Xml.elem ~attrs tag children)
-  | T_frag f ->
-    let parent_slots = List.map (fun (p, _) -> Ra_eval.col_index rel p) f.f_link in
-    (* restrict the child level to the parent keys actually present *)
-    let key_rows =
-      distinct_rows
-        (List.map
-           (fun row -> Array.of_list (List.map (fun i -> row.(i)) parent_slots))
-           rel.Ra_eval.rows)
-    in
-    let key_cols = List.map (fun (_, c) -> "lk$" ^ c) f.f_link in
-    let keys_rel = Ra.Values (key_cols, key_rows) in
-    let restricted =
-      Ra_opt.push_semijoin ~keys:keys_rel
-        ~on:(List.map2 (fun (_, c) kc -> (c, kc)) f.f_link key_cols)
-        f.f_plan
-    in
-    let child_rel = Ra_eval.eval ctx restricted in
-    let child_node = node_fun ctx child_rel f.f_template in
-    let child_link_slots = List.map (fun (_, c) -> Ra_eval.col_index child_rel c) f.f_link in
-    let order_slots = List.map (Ra_eval.col_index child_rel) f.f_order in
-    (* group child rows by link value, ordered by the order columns *)
-    let groups : (string list, (Value.t list * Xval.t) list ref) Hashtbl.t =
-      Hashtbl.create 32
-    in
-    List.iter
-      (fun row ->
-        let link = List.map (fun i -> Value.to_string row.(i)) child_link_slots in
-        let okey = List.map (fun i -> row.(i)) order_slots in
-        let node = child_node row in
-        match Hashtbl.find_opt groups link with
-        | Some cell -> cell := (okey, node) :: !cell
-        | None -> Hashtbl.add groups link (ref [ (okey, node) ]))
-      child_rel.Ra_eval.rows;
-    fun row ->
-      let link = List.map (fun i -> Value.to_string row.(i)) parent_slots in
-      match Hashtbl.find_opt groups link with
-      | None -> Xval.Seq []
-      | Some cell ->
-        let sorted =
-          List.sort
-            (fun (a, _) (b, _) -> List.compare Value.compare a b)
-            (List.rev !cell)
-        in
-        Xval.seq (List.map snd sorted)
-
-(* --- compiled rendering ---
+(* --- compiled rendering (the tagger) ---
 
    [compile] resolves everything name-shaped in a shredded graph once: the
    relational plans go through {!Relkit.Ra_compile}, template column
    references become slots, and each fragment level's parent-key restriction
    is baked in via [push_semijoin] against a named [Rel] source bound per
-   firing — instead of rebuilding and re-optimizing the child plan on every
-   firing as [render] does. *)
+   firing, so no child plan is rebuilt or re-optimized on a firing. *)
 
 type cnode = {
   (* [bind ctx parent_rows] does the per-firing work of one template level
@@ -923,35 +836,6 @@ let render_compiled ?cols (c : compiled) ctx : Eval.xrel =
   if Obs.Trace.enabled trace then
     Obs.Trace.finish_note trace t1 "tagger"
       (Printf.sprintf "compiled rows=%d" (List.length rows));
-  { Eval.cols = Array.of_list wanted; rows }
-
-let render ?cols ctx (t : t) : Eval.xrel =
-  let trace = Relkit.Database.tracer ctx.Ra_eval.db in
-  let wanted = match cols with Some cs -> cs | None -> t.out_cols in
-  let t0 = Obs.Trace.start trace in
-  let rel = Ra_eval.eval ctx t.plan in
-  if Obs.Trace.enabled trace then
-    Obs.Trace.finish_note trace t0 "plan.exec"
-      (Printf.sprintf "interpreted rows=%d" (List.length rel.Ra_eval.rows));
-  let getters =
-    List.map
-      (fun c ->
-        match List.assoc_opt c t.xml with
-        | Some tpl -> node_fun ctx rel tpl
-        | None ->
-          let i = Ra_eval.col_index rel c in
-          fun row -> Xval.atom row.(i))
-      wanted
-  in
-  let t1 = Obs.Trace.start trace in
-  let rows =
-    List.map
-      (fun row -> Array.of_list (List.map (fun g -> g row) getters))
-      rel.Ra_eval.rows
-  in
-  if Obs.Trace.enabled trace then
-    Obs.Trace.finish_note trace t1 "tagger"
-      (Printf.sprintf "interpreted rows=%d" (List.length rows));
   { Eval.cols = Array.of_list wanted; rows }
 
 let to_sql (t : t) =

@@ -8,12 +8,13 @@
     aggXMLFrag aggregates become child levels linked to their parent by the
     grouping columns.
 
-    [render] executes a shredded graph: child levels are restricted to the
-    parent's link keys with {!Relkit.Ra_opt.push_semijoin} before evaluation
-    (so only affected subtrees are ever computed), rows are grouped and
-    ordered, and templates are instantiated — the constant-space tagger.
-    Only the requested columns are materialized: a trigger whose action needs
-    only NEW_NODE never touches the OLD side's content.
+    [compile] prepares a shredded graph once against a database and
+    [render_compiled] executes it per firing: child levels are restricted to
+    the parent's link keys with {!Relkit.Ra_opt.push_semijoin} (so only
+    affected subtrees are ever computed), rows are grouped and ordered, and
+    templates are instantiated — the constant-space tagger.  Only the
+    requested columns are materialized: a trigger whose action needs only
+    NEW_NODE never touches the OLD side's content.
 
     [invert_old_aggregates] is the GROUPED-AGG optimization (§5.2): a
     GroupBy over the pre-update table computes its COUNT/SUM aggregates from
@@ -63,9 +64,6 @@ val invert_old_aggregates : table:string -> t -> t
     Static per plan; audit records stamp it as the delta query's lineage. *)
 val frag_keys : t -> string list
 
-(** Evaluates; [cols] defaults to all output columns. *)
-val render : ?cols:string list -> Relkit.Ra_eval.ctx -> t -> Xqgm.Eval.xrel
-
 (** A shredded graph compiled once against a database: plans go through
     {!Relkit.Ra_compile}, template column references become slots, and each
     fragment level's parent-key semijoin restriction is planned at compile
@@ -83,7 +81,8 @@ type frag_memo
 val create_frag_memo : unit -> frag_memo
 
 (** @raise Not_found / Invalid_argument when the plans or templates do not
-    resolve against the database catalog; callers fall back to [render]. *)
+    resolve against the database catalog; callers fall back to direct XQGM
+    evaluation. *)
 val compile :
   ?counters:Relkit.Ra_compile.counters ->
   ?frag_memo:frag_memo ->
@@ -91,8 +90,9 @@ val compile :
   t ->
   compiled
 
-(** Per-firing execution; produces exactly what [render] produces on the
-    same context.  [cols] defaults to all output columns. *)
+(** Per-firing execution; produces what {!Xqgm.Eval.eval} produces for the
+    shredded graph on the same context.  [cols] defaults to all output
+    columns. *)
 val render_compiled :
   ?cols:string list -> compiled -> Relkit.Ra_eval.ctx -> Xqgm.Eval.xrel
 

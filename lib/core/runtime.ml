@@ -65,9 +65,6 @@ exception Error of string
 let fail fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
 
 type tuning = {
-  push_affected_keys : bool;
-  share_subplans : bool;
-  compile_plans : bool;
   independence : bool;
       (* derive static relevance signatures at arm time and let the firing
          path prune provably independent statements; off = every bucket hit
@@ -81,23 +78,23 @@ type tuning = {
 }
 
 let default_tuning =
-  { push_affected_keys = true;
-    share_subplans = true;
-    compile_plans = true;
-    independence = true;
+  { independence = true;
     window_buckets = Obs.Knobs.window_buckets ();
     window_width_ms = Obs.Knobs.window_width_ms ();
   }
 
 (* --- execution plan per (group, table): pushed-down or middleware --- *)
 
+type exec =
+  | Compiled of Pushdown.compiled
+      (* the pushed-down plan, compiled once per group against the database *)
+  | Middleware of string
+      (* why the plan is not pushed down (the graph is not pushable, or its
+         plan failed to compile): every firing evaluates [tp_graph] *)
+
 type table_plan = {
   tp_table : string;
-  tp_shred : Pushdown.t option;  (* None: middleware evaluation *)
-  tp_exec : Pushdown.compiled option;
-      (* plans compiled once per group against the database; None when
-         compilation is disabled, failed, or the graph is not pushable —
-         the interpreted [tp_shred] path is the fallback *)
+  tp_exec : exec;
   tp_graph : Op.t;  (* the affected-node graph, for middleware / display *)
   tp_rel_events : Database.event list;
   tp_relevant_cols : string list;  (* UPDATE transition pruning *)
@@ -191,10 +188,6 @@ and t = {
   mutable reco_instants : (string * int64 * string) list;
       (* recommendation-change instants (name, ts_ns, args json), newest
          first, exported into the Chrome trace *)
-  mutable last_cache_hits : int;
-  mutable last_cache_misses : int;
-      (* build-cache totals at the end of the last firing, so each firing
-         can attribute windowed cache deltas *)
 }
 
 (* One armed XML trigger: its group, the key of its constants vector in the
@@ -251,8 +244,6 @@ let create ?(strategy = Grouped_agg) ?(tuning = default_tuning) db =
     strategy_overrides = Hashtbl.create 8;
     last_reco = Hashtbl.create 8;
     reco_instants = [];
-    last_cache_hits = 0;
-    last_cache_misses = 0;
   }
 
 (* Tables owned by the runtime itself (trigger-grouping constants tables).
@@ -320,8 +311,8 @@ let reset_stats t =
   Database.reset_independence_skips t.db;
   Relkit.Ra_compile.reset_counters t.ra_counters
 
-(* Scan accounting over all plan executions of this manager (interpreted
-   and compiled), per source; tests assert no-full-scan properties here. *)
+(* Scan accounting over all plan executions of this manager (compiled
+   and middleware), per source; tests assert no-full-scan properties here. *)
 let reset_scan_rows t = Ra_eval.reset_scan_stats t.scan_stats
 let scan_rows_total t = Ra_eval.scan_stats_total t.scan_stats
 let scan_rows_report t = Ra_eval.scan_stats_report t.scan_stats
@@ -590,6 +581,44 @@ let audit_action (r : Obs.Audit.record) m ~outcome ~old_node ~new_node =
     }
     :: r.Obs.Audit.actions
 
+(* Open the audit record of one firing: inserted before dispatch so action
+   callbacks can link back by id; its counters are mutated as the firing
+   proceeds.  Callers reach this only when auditing is on, so the firing
+   path pays one boolean load when it is off.  [trans] is the (Δ, ∇) pair
+   the firing ran over. *)
+let open_audit t (tc : Database.trigger_ctx) ~sql_trigger ~strategy
+    ~group_id ~view ~plan_table ~plan_mode ~frag_keys ~cond_mode
+    ~trans:(delta, nabla) =
+  let audit_log = Database.audit t.db in
+  let r =
+    { Obs.Audit.id = Obs.Audit.fresh_id audit_log;
+      ts_ns = Obs.Trace.now ();
+      stmt_id = tc.Database.stmt_id;
+      stmt_event = Database.string_of_event tc.Database.event;
+      stmt_table = tc.Database.target;
+      sql_trigger;
+      strategy = strategy_to_string strategy;
+      group_id;
+      view;
+      plan_table;
+      plan_mode;
+      frag_keys;
+      cond_mode;
+      origin = Database.statement_origin t.db;
+      delta_rows = List.length delta;
+      nabla_rows = List.length nabla;
+      pairs_computed = 0;
+      pairs_spurious = 0;
+      pairs_kept = 0;
+      cond_rejected = 0;
+      dispatched = 0;
+      actions = [];
+      notes = [];
+    }
+  in
+  Obs.Audit.add audit_log r;
+  r
+
 let dispatch ?audit ?(stmt_id = 0) t group ~trig_ids ~old_node ~new_node =
   let members =
     match Hashtbl.find_opt group.g_members trig_ids with
@@ -756,6 +785,17 @@ let group_series gid =
 let window_series s =
   [ s.s_firings; s.s_latency; s.s_pairs; s.s_kept; s.s_spurious; s.s_scan ]
 
+(* One firing's windowed cost profile, for the advisor: the firing ended at
+   [now] after [dt] ns; zero counts add nothing. *)
+let add_profile t ws ~now ~dt ~pairs ~kept ~spurious ~scanned =
+  let w = Database.window t.db in
+  Obs.Window.add w ~now ws.s_firings 1.0;
+  Obs.Window.add w ~now ws.s_latency (Int64.to_float dt);
+  if pairs > 0 then Obs.Window.add w ~now ws.s_pairs (float_of_int pairs);
+  if kept > 0 then Obs.Window.add w ~now ws.s_kept (float_of_int kept);
+  if spurious > 0 then Obs.Window.add w ~now ws.s_spurious (float_of_int spurious);
+  if scanned > 0 then Obs.Window.add w ~now ws.s_scan (float_of_int scanned)
+
 let firing_histogram gid table = Printf.sprintf "firing:g%d:%s" gid table
 
 let install_sql_triggers t group =
@@ -795,10 +835,9 @@ let install_sql_triggers t group =
             @ if !(group.g_needs_new) || group.g_node_compare then [ "new_node" ] else []
           in
           let rel =
-            match tp.tp_exec, tp.tp_shred with
-            | Some comp, _ -> Pushdown.render_compiled ~cols comp ctx
-            | None, Some shred -> Pushdown.render ~cols ctx shred
-            | None, None ->
+            match tp.tp_exec with
+            | Compiled comp -> Pushdown.render_compiled ~cols comp ctx
+            | Middleware _ ->
               let full = Eval.eval ctx tp.tp_graph in
               let slots = List.map (Eval.col_index full) cols in
               { Eval.cols = Array.of_list cols;
@@ -814,53 +853,24 @@ let install_sql_triggers t group =
           let ni = if List.mem "new_node" cols then Some (idx "new_node") else None in
           t.n_firings <- t.n_firings + 1;
           let scanned = Ra_eval.scan_stats_total t.scan_stats - scan0 in
-          (* audit record, inserted before dispatch so action callbacks
-             can link back by id; its counters are mutated as the firing
-             proceeds.  One boolean load when auditing is off. *)
-          let audit_log = Database.audit t.db in
           let arec =
-            if Obs.Audit.enabled audit_log then begin
-              let delta_rows, nabla_rows =
-                match List.assoc_opt tp.tp_table ctx.Ra_eval.trans with
-                | Some (d, n) -> (List.length d, List.length n)
-                | None -> (0, 0)
-              in
-              let r =
-                { Obs.Audit.id = Obs.Audit.fresh_id audit_log;
-                  ts_ns = Obs.Trace.now ();
-                  stmt_id = tc.Database.stmt_id;
-                  stmt_event = Database.string_of_event tc.Database.event;
-                  stmt_table = tc.Database.target;
-                  sql_trigger =
-                    Printf.sprintf "xmltrig$g%d$%s$%s" group.g_id tp.tp_table
-                      (Database.string_of_event tc.Database.event);
-                  strategy = strategy_to_string group.g_strategy;
-                  group_id = group.g_id;
-                  view = group.g_view;
-                  plan_table = tp.tp_table;
-                  plan_mode =
-                    (match tp.tp_exec, tp.tp_shred with
-                    | Some _, _ -> "compiled"
-                    | None, Some _ -> "interpreted"
-                    | None, None -> "middleware");
-                  frag_keys = tp.tp_frag_keys;
-                  cond_mode = group.g_cond_mode;
-                  origin = Database.statement_origin t.db;
-                  delta_rows;
-                  nabla_rows;
-                  pairs_computed = 0;
-                  pairs_spurious = 0;
-                  pairs_kept = 0;
-                  cond_rejected = 0;
-                  dispatched = 0;
-                  actions = [];
-                  notes = [];
-                }
-              in
-              Obs.Audit.add audit_log r;
-              Some r
-            end
-            else None
+            if not (Obs.Audit.enabled (Database.audit t.db)) then None
+            else
+              Some
+                (open_audit t tc
+                   ~sql_trigger:
+                     (Printf.sprintf "xmltrig$g%d$%s$%s" group.g_id tp.tp_table
+                        (Database.string_of_event tc.Database.event))
+                   ~strategy:group.g_strategy ~group_id:group.g_id
+                   ~view:group.g_view ~plan_table:tp.tp_table
+                   ~plan_mode:
+                     (match tp.tp_exec with
+                     | Compiled _ -> "compiled"
+                     | Middleware _ -> "middleware")
+                   ~frag_keys:tp.tp_frag_keys ~cond_mode:group.g_cond_mode
+                   ~trans:
+                     (Option.value ~default:([], [])
+                        (List.assoc_opt tp.tp_table ctx.Ra_eval.trans)))
           in
           let pc = List.length rel.Eval.rows in
           t.n_rows <- t.n_rows + pc;
@@ -913,27 +923,8 @@ let install_sql_triggers t group =
           let fin = Obs.Trace.now () in
           let dt = Int64.sub fin t0 in
           Obs.Metrics.observe_in t.histograms h_firing dt;
-          (* windowed cost profile for the advisor *)
-          let w = Database.window t.db in
-          Obs.Window.add w ~now:fin ws.s_firings 1.0;
-          Obs.Window.add w ~now:fin ws.s_latency (Int64.to_float dt);
-          if pc > 0 then Obs.Window.add w ~now:fin ws.s_pairs (float_of_int pc);
-          if !n_kept > 0 then
-            Obs.Window.add w ~now:fin ws.s_kept (float_of_int !n_kept);
-          if !n_spurious > 0 then
-            Obs.Window.add w ~now:fin ws.s_spurious (float_of_int !n_spurious);
-          if scanned > 0 then
-            Obs.Window.add w ~now:fin ws.s_scan (float_of_int scanned);
-          let ch = t.ra_counters.Relkit.Ra_compile.build_cache_hits
-          and cm = t.ra_counters.Relkit.Ra_compile.build_cache_misses in
-          if ch > t.last_cache_hits then
-            Obs.Window.add w ~now:fin "cache_hits"
-              (float_of_int (ch - t.last_cache_hits));
-          if cm > t.last_cache_misses then
-            Obs.Window.add w ~now:fin "cache_misses"
-              (float_of_int (cm - t.last_cache_misses));
-          t.last_cache_hits <- ch;
-          t.last_cache_misses <- cm
+          add_profile t ws ~now:fin ~dt ~pairs:pc ~kept:!n_kept
+            ~spurious:!n_spurious ~scanned
         end
       in
       (* one signature per (plan, table), shared by all relational events:
@@ -1069,23 +1060,19 @@ let build_template t ~strat ~monitored ~event ~cond_rel ~nested ~n_consts =
                  the affected-keys join (ProductCount over AffectedKeys,
                  Fig. 16). *)
               let shred =
-                if t.tuning.push_affected_keys then
-                  { shred with
-                    Pushdown.plan = Ra_opt.push_transition_joins shred.Pushdown.plan;
-                  }
-                else shred
+                { shred with
+                  Pushdown.plan = Ra_opt.push_transition_joins shred.Pushdown.plan;
+                }
               in
               let shred =
                 if strat = Grouped_agg then
                   Pushdown.invert_old_aggregates ~table shred
                 else shred
               in
-              let plan =
-                if t.tuning.share_subplans then
-                  Ra_opt.share_common_subplans shred.Pushdown.plan
-                else shred.Pushdown.plan
-              in
-              Some { shred with Pushdown.plan }
+              Some
+                { shred with
+                  Pushdown.plan = Ra_opt.share_common_subplans shred.Pushdown.plan;
+                }
             | exception Pushdown.Not_pushable _ -> None
           in
           let rel_events =
@@ -1105,34 +1092,35 @@ let build_template t ~strat ~monitored ~event ~cond_rel ~nested ~n_consts =
 (* Instantiation compiles each pushed-down plan once against the database
    (the group's constants table and its indexes already exist at this
    point, so probe strategies can resolve against them).  A compilation
-   failure degrades to the interpreted path, never to an error. *)
+   failure degrades to middleware evaluation, never to an error. *)
 let instantiate_template t tmpl ~consts_table =
   List.map
     (fun (table, shred, graph, rel_events, relevant) ->
-      let shred = Option.map (rename_shred ~from:consts_template ~to_:consts_table) shred in
       let graph = rename_op_table ~from:consts_template ~to_:consts_table graph in
-      let exec =
-        if not t.tuning.compile_plans then None
-        else
-          Option.bind shred (fun s ->
-              try Some (Pushdown.compile ~counters:t.ra_counters ~frag_memo:t.frag_memo t.db s)
-              with _ -> None)
+      let middleware why =
+        ( Middleware why,
+          lazy
+            (Printf.sprintf "-- middleware evaluation (%s):\n%s" why
+               (Xqgm.Print.to_string graph)),
+          [] )
       in
-      let sql =
-        lazy
-          (match shred with
-          | Some s -> Pushdown.to_sql s
-          | None ->
-            "-- middleware evaluation (plan not pushable):\n" ^ Xqgm.Print.to_string graph)
+      let exec, sql, frag_keys =
+        match shred with
+        | None -> middleware "graph not pushable"
+        | Some s -> (
+          let s = rename_shred ~from:consts_template ~to_:consts_table s in
+          match
+            Pushdown.compile ~counters:t.ra_counters ~frag_memo:t.frag_memo t.db s
+          with
+          | comp -> (Compiled comp, lazy (Pushdown.to_sql s), Pushdown.frag_keys s)
+          | exception _ -> middleware "compilation failed")
       in
       { tp_table = table;
-        tp_shred = shred;
         tp_exec = exec;
         tp_graph = graph;
         tp_rel_events = rel_events;
         tp_relevant_cols = relevant;
-        tp_frag_keys =
-          (match shred with Some s -> Pushdown.frag_keys s | None -> []);
+        tp_frag_keys = frag_keys;
         tp_sql = sql;
       })
     tmpl.tmpl_plans
@@ -1205,6 +1193,11 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
       s
   in
   let events = Event_pushdown.source_events m.Compose.m_op tr.Trigger.event in
+  (* the trigger as its audit actions name it: the body evaluates the
+     condition itself, so the audit reports it as the fallback *)
+  let audited =
+    { m_trigger = tr; m_fallback_cond = tr.Trigger.condition; m_args = tr.Trigger.args }
+  in
   let body tc =
     let bt0 = Obs.Trace.now () in
     let n_computed = ref 0 and n_sp = ref 0 and n_kept = ref 0 in
@@ -1212,43 +1205,22 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
     let before = !snap in
     let after = level_snapshot t m in
     snap := after;
-    let audit_log = Database.audit t.db in
     let arec =
-      if Obs.Audit.enabled audit_log then begin
-        let r =
-          { Obs.Audit.id = Obs.Audit.fresh_id audit_log;
-            ts_ns = Obs.Trace.now ();
-            stmt_id = tc.Database.stmt_id;
-            stmt_event = Database.string_of_event tc.Database.event;
-            stmt_table = tc.Database.target;
-            sql_trigger =
-              Printf.sprintf "xmltrig$mat$%s$%s$%s" tr.Trigger.name
-                tc.Database.target
-                (Database.string_of_event tc.Database.event);
-            strategy = strategy_to_string Materialized;
-            group_id = -1;  (* materialized triggers are not grouped *)
-            view = view_name;
-            plan_table = tc.Database.target;
-            plan_mode = "materialized";
-            frag_keys = [];
-            cond_mode =
-              (if tr.Trigger.condition <> None then "fallback" else "none");
-            origin = Database.statement_origin t.db;
-            delta_rows = List.length tc.Database.inserted;
-            nabla_rows = List.length tc.Database.deleted;
-            pairs_computed = 0;
-            pairs_spurious = 0;
-            pairs_kept = 0;
-            cond_rejected = 0;
-            dispatched = 0;
-            actions = [];
-            notes = [];
-          }
-        in
-        Obs.Audit.add audit_log r;
-        Some r
-      end
-      else None
+      if not (Obs.Audit.enabled (Database.audit t.db)) then None
+      else
+        Some
+          (open_audit t tc
+             ~sql_trigger:
+               (Printf.sprintf "xmltrig$mat$%s$%s$%s" tr.Trigger.name
+                  tc.Database.target
+                  (Database.string_of_event tc.Database.event))
+             ~strategy:Materialized
+             ~group_id:(-1) (* materialized triggers are not grouped *)
+             ~view:view_name ~plan_table:tc.Database.target
+             ~plan_mode:"materialized" ~frag_keys:[]
+             ~cond_mode:
+               (if tr.Trigger.condition <> None then "fallback" else "none")
+             ~trans:(tc.Database.inserted, tc.Database.deleted))
     in
     let audit_id = match arec with Some r -> r.Obs.Audit.id | None -> 0 in
     let fire ~old_node ~new_node =
@@ -1271,23 +1243,7 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
           else if Option.is_none callback then Obs.Audit.No_action
           else Obs.Audit.Fired
         in
-        (match outcome with
-        | Obs.Audit.Fired -> r.Obs.Audit.dispatched <- r.Obs.Audit.dispatched + 1
-        | Obs.Audit.Condition_rejected ->
-          r.Obs.Audit.cond_rejected <- r.Obs.Audit.cond_rejected + 1
-        | Obs.Audit.No_action -> ());
-        r.Obs.Audit.actions <-
-          { Obs.Audit.a_trigger = tr.Trigger.name;
-            a_action = tr.Trigger.action;
-            a_outcome = outcome;
-            a_condition =
-              (match tr.Trigger.condition with
-              | Some c -> Ast.expr_to_string c
-              | None -> "");
-            a_has_old = old_node <> None;
-            a_has_new = new_node <> None;
-          }
-          :: r.Obs.Audit.actions
+        audit_action r audited ~outcome ~old_node ~new_node
       | None -> ());
       if passes then begin
         t.n_dispatched <- t.n_dispatched + 1;
@@ -1350,13 +1306,8 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
         before);
     (* windowed cost profile: the whole recompute-and-diff is the firing *)
     let fin = Obs.Trace.now () in
-    let w = Database.window t.db in
-    Obs.Window.add w ~now:fin ws.s_firings 1.0;
-    Obs.Window.add w ~now:fin ws.s_latency (Int64.to_float (Int64.sub fin bt0));
-    if !n_computed > 0 then
-      Obs.Window.add w ~now:fin ws.s_pairs (float_of_int !n_computed);
-    if !n_kept > 0 then Obs.Window.add w ~now:fin ws.s_kept (float_of_int !n_kept);
-    if !n_sp > 0 then Obs.Window.add w ~now:fin ws.s_spurious (float_of_int !n_sp)
+    add_profile t ws ~now:fin ~dt:(Int64.sub fin bt0) ~pairs:!n_computed
+      ~kept:!n_kept ~spurious:!n_sp ~scanned:0
   in
   List.iter
     (fun ev ->
@@ -1970,13 +1921,10 @@ let group_trigger_names g =
 
 let group_size g = Hashtbl.fold (fun _ ms n -> n + List.length ms) g.g_members 0
 
-let plan_mode t tp =
-  match tp.tp_exec, tp.tp_shred with
-  | Some _, _ -> "compiled"
-  | None, Some _ ->
-    if t.tuning.compile_plans then "interpreted (compilation failed)"
-    else "interpreted (compilation disabled)"
-  | None, None -> "middleware (graph not pushable)"
+let plan_mode tp =
+  match tp.tp_exec with
+  | Compiled _ -> "compiled"
+  | Middleware why -> "middleware (" ^ why ^ ")"
 
 let explain t =
   let buf = Buffer.create 1024 in
@@ -2007,14 +1955,14 @@ let explain t =
         List.iter
           (fun tp ->
             Buffer.add_string buf
-              (Printf.sprintf "-- table %s: %s\n" tp.tp_table (plan_mode t tp));
+              (Printf.sprintf "-- table %s: %s\n" tp.tp_table (plan_mode tp));
             Buffer.add_string buf
               (Printf.sprintf "   relevance: %s\n"
                  (relevance_summary ~table:tp.tp_table
                     g.g_monitored.Compose.m_op));
             match tp.tp_exec with
-            | Some comp -> Buffer.add_string buf (Pushdown.explain_compiled comp)
-            | None -> ())
+            | Compiled comp -> Buffer.add_string buf (Pushdown.explain_compiled comp)
+            | Middleware _ -> ())
           g.g_plans)
     groups;
   Buffer.contents buf
@@ -2033,13 +1981,13 @@ let explain_json t =
            (fun tp ->
              let plan =
                match tp.tp_exec with
-               | Some comp -> Pushdown.explain_compiled_json comp
-               | None -> "null"
+               | Compiled comp -> Pushdown.explain_compiled_json comp
+               | Middleware _ -> "null"
              in
              Printf.sprintf
                "{\"table\": \"%s\", \"mode\": \"%s\", \"relevance\": \
                 \"%s\", \"plan\": %s}"
-               (esc tp.tp_table) (esc (plan_mode t tp))
+               (esc tp.tp_table) (esc (plan_mode tp))
                (esc
                   (relevance_summary ~table:tp.tp_table
                      g.g_monitored.Compose.m_op))
@@ -2142,7 +2090,6 @@ type recommendation = {
   r_modeled_ns : (strategy * float) list;
   r_rate : float;  (* cohort activations/sec *)
   r_observed : observed;
-  r_frags : string list;  (* view fragments worth materializing *)
   r_reason : string;
 }
 
@@ -2249,29 +2196,6 @@ let model_cohort t groups =
     (members, current, merged, observed_total, modeled, reco, reason)
   end
 
-(* Greedy fragment-materialization advice (Chebotko & Fu's view-selection
-   problem, approximated from the windowed fragment-cache hit/miss
-   traffic): when the cache misses more than it hits while this cohort is
-   hot, the fragments its delta plans link through are worth pinning. *)
-let frag_advice t groups rate =
-  let w = Database.window t.db in
-  let now = Obs.Trace.now () in
-  let hits =
-    let wh = Obs.Window.window_sum w ~now "cache_hits" in
-    if wh > 0.0 then wh else Obs.Window.total w "cache_hits"
-  and misses =
-    let wm = Obs.Window.window_sum w ~now "cache_misses" in
-    if wm > 0.0 then wm else Obs.Window.total w "cache_misses"
-  in
-  let traffic = hits +. misses in
-  if traffic <= 0.0 || rate <= 0.0 || misses /. traffic < 0.5 then []
-  else
-    List.concat_map
-      (fun g -> List.concat_map (fun tp -> tp.tp_frag_keys) g.g_plans)
-      groups
-    |> List.sort_uniq compare
-    |> fun l -> if List.length l > 5 then List.filteri (fun i _ -> i < 5) l else l
-
 (* Record recommendation changes as Chrome-trace instants, bounded. *)
 let note_reco t name reco =
   let changed =
@@ -2303,15 +2227,11 @@ let recommendations t =
       Hashtbl.replace cohorts g.g_cohort (g :: gs))
     (List.rev (groups_by_id t));
   let models = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun key gs ->
-      let ((_, _, merged, _, _, _, _) as model) = model_cohort t gs in
-      Hashtbl.replace models key (model, frag_advice t gs merged.ob_rate))
-    cohorts;
+  Hashtbl.iter (fun key gs -> Hashtbl.replace models key (model_cohort t gs)) cohorts;
   triggers_by_seq t
   |> List.map (fun (name, e) ->
          let g = e.e_group in
-         let (members, current, merged, observed_total, modeled, reco, reason), frags =
+         let members, current, merged, observed_total, modeled, reco, reason =
            Hashtbl.find models g.g_cohort
          in
          note_reco t name reco;
@@ -2324,7 +2244,6 @@ let recommendations t =
            r_modeled_ns = modeled;
            r_rate = merged.ob_rate;
            r_observed = merged;
-           r_frags = frags;
            r_reason =
              (if g.g_strategy <> current then
                 "cohort dominated by " ^ strategy_to_string current ^ "; "
@@ -2377,11 +2296,7 @@ let analyze t =
       Buffer.add_string buf
         (Printf.sprintf "  recommendation: %s (%s)\n"
            (strategy_to_string r.r_recommended)
-           r.r_reason);
-      if r.r_frags <> [] then
-        Buffer.add_string buf
-          (Printf.sprintf "  materialize fragments: %s\n"
-             (String.concat ", " r.r_frags)))
+           r.r_reason))
     recos;
   Buffer.contents buf
 
@@ -2398,24 +2313,19 @@ let analyze_json t =
              Printf.sprintf "\"%s\": %.0f" (esc (strategy_to_string s)) c)
            r.r_modeled_ns)
     in
-    let frags =
-      String.concat ", "
-        (List.map (fun f -> "\"" ^ esc f ^ "\"") r.r_frags)
-    in
     Printf.sprintf
       "{\"name\": \"%s\", \"group\": %d, \"cohort_members\": %d, \
        \"strategy\": \"%s\", \"observed\": {\"cost_per_stmt_ns\": %.0f, \
        \"rate_per_s\": %.4f, \"firings\": %.0f, \"pairs_computed\": %.0f, \
        \"pairs_kept\": %.0f, \"pairs_spurious\": %.0f, \"spurious_ratio\": \
        %.4f, \"scan_rows\": %.0f, \"windowed\": %b}, \"modeled_cost_ns\": \
-       {%s}, \"recommendation\": \"%s\", \"reason\": \"%s\", \
-       \"materialize_fragments\": [%s]}"
+       {%s}, \"recommendation\": \"%s\", \"reason\": \"%s\"}"
       (esc r.r_trigger) r.r_group r.r_members
       (esc (strategy_to_string r.r_current))
       r.r_observed_ns r.r_rate o.ob_firings o.ob_pairs o.ob_kept
       o.ob_spurious (spurious_ratio o) o.ob_scan_rows o.ob_windowed modeled
       (esc (strategy_to_string r.r_recommended))
-      (esc r.r_reason) frags
+      (esc r.r_reason)
   in
   Printf.sprintf
     "{\"window\": {\"buckets\": %d, \"width_ms\": %d}, \"triggers\": [%s]}"

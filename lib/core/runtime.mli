@@ -73,19 +73,15 @@ type t
 
 exception Error of string
 
-(** Optimizer-pass toggles, for ablation studies (bench target
-    [ablation]), plus observatory and server settings.  The boolean
-    toggles default to on; turning any off is always semantics-preserving,
-    only slower.  Firing always runs sequentially on the calling domain;
-    see DESIGN.md "Concurrency model". *)
+(** Runtime settings: independence pruning and the observatory window.
+    Every pushed-down plan is restricted by its affected keys, has its
+    OLD-side aggregates inverted (GROUPED-AGG only), shares its common
+    subplans and is compiled once with {!Relkit.Ra_compile}; a graph that
+    cannot be pushed down or compiled is evaluated in the middleware
+    instead.  Firing always
+    runs sequentially on the calling domain; see DESIGN.md "Concurrency
+    model". *)
 type tuning = {
-  push_affected_keys : bool;
-      (** semijoin-restrict plans by the affected keys (§5.2 pushdown) *)
-  share_subplans : bool;  (** common-subplan sharing (the WITH clauses) *)
-  compile_plans : bool;
-      (** compile trigger-group plans once with {!Relkit.Ra_compile} and
-          execute firings through the compiled form; off = interpret every
-          firing with {!Relkit.Ra_eval} *)
   independence : bool;
       (** derive static relevance signatures (column footprints + constant
           WHERE filters from the XQGM plan) when arming triggers and let
@@ -101,7 +97,7 @@ type tuning = {
           [$TRIGVIEW_WINDOW_WIDTH_MS], else 5000) *)
 }
 
-(** Every toggle on; the window settings come from their
+(** Independence pruning on; the window settings come from their
     environment variables. *)
 val default_tuning : tuning
 
@@ -149,8 +145,8 @@ val generated_sql : t -> (string * string) list
 val stats : t -> stats
 val reset_stats : t -> unit
 
-(** Scan accounting over all plan executions of this manager (interpreted
-    and compiled), per source ("scan:T", "delta:T", ...).  Each manager owns
+(** Scan accounting over all plan executions of this manager (compiled
+    and middleware), per source ("scan:T", "delta:T", ...).  Each manager owns
     its accumulator, so concurrent managers do not interfere. *)
 val reset_scan_rows : t -> unit
 
@@ -214,7 +210,7 @@ val latencies : t -> (string * Obs.Metrics.histogram) list
 val durability_timings : t -> (string * Obs.Metrics.histogram) list
 
 (** Renders every trigger group's execution plan: strategy, monitored view,
-    member triggers, and per base table the compiled-vs-interpreted choice
+    member triggers, and per base table the compiled-vs-middleware choice
     plus (when compiled) the annotated physical plan of
     {!Pushdown.explain_compiled} — operator labels with join/probe choices,
     last-run cardinalities, cache traffic.  Deterministic for a fixed
@@ -251,7 +247,7 @@ val report_json : t -> string
 
     The database maintains a sliding window ({!Obs.Window}) of per-table
     DML rates, skip rates and per-group firing profiles (latency, pair
-    counts, scan rows, fragment-cache traffic).  [analyze] feeds the
+    counts, scan rows).  [analyze] feeds the
     windowed profiles into a cost model of the paper's Table-2 trade-off —
     UNGROUPED pays one delta plan per trigger and per statement, GROUPED
     one shared plan plus the constants-table join, MATERIALIZED a
@@ -286,9 +282,6 @@ type recommendation = {
           cohort has no observed firings *)
   r_rate : float;
   r_observed : observed;
-  r_frags : string list;
-      (** view fragments worth materializing (greedy selection from
-          fragment-cache hit/miss traffic); [[]] when the cache is warm *)
   r_reason : string;
 }
 

@@ -33,8 +33,9 @@ type action =
   | Sse of { channel : string option; cursor : int }
   | Long_poll of { channel : string option; cursor : int }
 
-(* What the connection's one deadline means: Reading — the partial
-   request must complete by it (408); Held — the long-poll hold (empty
+(* What the connection's one deadline means: Reading — the next request
+   must arrive complete by it, counted from accept or from the previous
+   response's drain (408); Held — the long-poll hold (empty
    batch); Draining / Streaming — queued output must drain by it
    (eviction).  [close]: close the connection once the response drains. *)
 type conn_state =
@@ -312,11 +313,11 @@ let dispatch t c (req : request) =
       end
 
 (* Process the next complete request of a Reading connection (one: it is
-   then Draining until its response is on the wire).  Buffered bytes arm
-   the read deadline. *)
+   then Draining until its response is on the wire).  The read deadline
+   was armed on entering Reading, so a client that never completes a
+   request (or never sends a byte) is timed out. *)
 let try_process t (c : _ Conn.conn) =
   if Conn.pending c > 0 then begin
-    if c.due = 0L then Conn.arm t.core c;
     match parse_request c with
     | Incomplete -> ()
     | Bad (status, msg) -> fail_request t c status msg
@@ -328,7 +329,7 @@ let try_process t (c : _ Conn.conn) =
 
 let codec =
   { Conn.initial = Reading;
-    on_accept = (fun _ _ -> ());
+    on_accept = (fun t c -> Conn.arm t.core c);  (* the read deadline *)
     wants_input = (fun _ c -> match c.state with Draining _ -> false | _ -> true);
     on_input =
       (fun t c ->
@@ -341,6 +342,7 @@ let codec =
         | Draining { close = true } -> Conn.close t.core c
         | Draining { close = false } ->
           c.state <- Reading;
+          Conn.arm t.core c;  (* an idle keep-alive is timed out too *)
           try_process t c  (* pipelined request already buffered? *)
         | _ -> ());
     on_deadline =

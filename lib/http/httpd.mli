@@ -30,7 +30,8 @@
     Job hygiene (the basex-utils watchdog discipline, in the core):
     - every connection has one deadline ([deadline_ms], default the
       [TRIGVIEW_REQUEST_DEADLINE_MS] knob): exceeded while reading →
-      408; while holding a long-poll → empty batch; while draining a
+      408, where reading starts at accept and again after each
+      keep-alive response, so a silent or idle client is timed out too; while holding a long-poll → empty batch; while draining a
       response or streaming → eviction;
     - a connection is not read while its response drains, so pipelined
       requests wait in the kernel, not in server memory;

@@ -49,7 +49,7 @@ type record = {
   group_id : int;  (* trigger group (-1 for MATERIALIZED singletons) *)
   view : string;
   plan_table : string;  (* base table whose delta query ran *)
-  plan_mode : string;  (* compiled / interpreted / middleware / materialized *)
+  plan_mode : string;  (* compiled / middleware / materialized *)
   frag_keys : string list;  (* delta-query fragment link keys *)
   cond_mode : string;  (* none / pushed / fallback *)
   origin : string;

@@ -116,6 +116,9 @@ and entry = {
   e_slots : int list option;  (* resolved [rel_cols]; [None] = all *)
   e_pred : (Value.t array -> bool) option;
   e_index : index_key;
+  mutable e_dead : bool;
+      (* dropped: still linked from the bucket's lists until the next
+         compaction, and skipped by every reader *)
 }
 
 (* Where a bucket's candidate search finds an entry. *)
@@ -125,10 +128,11 @@ and index_key =
   | By_cols of int list  (* under each of these [b_by_col] slots *)
 
 and bucket = {
-  mutable b_entries_rev : entry list;  (* newest first *)
+  mutable b_entries_rev : entry list;  (* newest first, dead ones included *)
   mutable b_ordered : trigger list;  (* cached creation-order view *)
   mutable b_stale : bool;
-  mutable b_size : int;
+  mutable b_size : int;  (* live entries *)
+  mutable b_dead : int;  (* dropped entries still linked from the lists *)
   mutable b_rel_count : int;  (* entries carrying a relevance signature *)
   mutable b_plain_rev : entry list;
       (* entries with no index key: always candidates (their exact
@@ -318,10 +322,14 @@ let reset_independence_skips t = t.independence_skips <- 0
 
 (* --- trigger firing --- *)
 
-(* Creation-order view of a bucket, cached across statements. *)
+(* Creation-order view of a bucket's live entries, cached across
+   statements. *)
 let bucket_ordered b =
   if b.b_stale then begin
-    b.b_ordered <- List.rev_map (fun e -> e.e_trig) b.b_entries_rev;
+    b.b_ordered <-
+      List.fold_left
+        (fun acc e -> if e.e_dead then acc else e.e_trig :: acc)
+        [] b.b_entries_rev;
     b.b_stale <- false
   end;
   b.b_ordered
@@ -433,7 +441,9 @@ let relevant_bucket_triggers t b ~event ~inserted ~deleted ~touched =
       end
     in
     let kept =
-      List.filter (entry_relevant ~event ~pairs ~inserted ~deleted) candidates
+      List.filter
+        (fun e -> (not e.e_dead) && entry_relevant ~event ~pairs ~inserted ~deleted e)
+        candidates
     in
     (* candidates out of an index merge may still be newest-first *)
     let kept =
@@ -670,6 +680,7 @@ let fresh_bucket () =
     b_ordered = [];
     b_stale = false;
     b_size = 0;
+    b_dead = 0;
     b_rel_count = 0;
     b_plain_rev = [];
     b_by_col = Hashtbl.create 4;
@@ -726,6 +737,7 @@ let create_trigger t trigger =
       e_slots;
       e_pred = Option.bind trigger.relevance (fun r -> r.rel_pred);
       e_index;
+      e_dead = false;
     }
   in
   Hashtbl.add t.trig_names trigger.trig_name e;
@@ -744,39 +756,40 @@ let create_trigger t trigger =
     List.iter (add b.b_by_col) slots;
     b.b_indexed <- b.b_indexed + 1
 
-(* The name table yields the entry, and the entry names the index keys it
-   sits under, so no other key and no other bucket is touched.  The lists
-   it is unlinked from (the bucket's creation-order list, and its plain or
-   per-key lists) are still filtered, in time linear in their length. *)
+(* Unlink every dead entry from a bucket's lists. *)
+let compact b =
+  let live = List.filter (fun e -> not e.e_dead) in
+  let prune tbl =
+    Hashtbl.filter_map_inplace (fun _ es -> match live es with [] -> None | l -> Some l) tbl
+  in
+  b.b_entries_rev <- live b.b_entries_rev;
+  b.b_plain_rev <- live b.b_plain_rev;
+  prune b.b_by_col;
+  prune b.b_by_val;
+  b.b_dead <- 0
+
+(* O(1) amortized: the name table yields the entry, which is marked dead
+   and left in the bucket's lists; readers skip it, and the lists are
+   compacted once dead entries outnumber live ones, so dropping every
+   trigger costs time linear in their number. *)
 let drop_trigger t name =
   match Hashtbl.find_opt t.trig_names name with
   | None -> ()
   | Some e -> (
     Hashtbl.remove t.trig_names name;
     t.trig_count <- t.trig_count - 1;
+    e.e_dead <- true;
     let key = (e.e_trig.trig_table, e.e_trig.trig_event) in
     match Hashtbl.find_opt t.trig_index key with
     | None -> ()
     | Some b when b.b_size = 1 -> Hashtbl.remove t.trig_index key
-    | Some b -> (
-      let keep e' = e' != e in
-      let unlink tbl k =
-        match List.filter keep (Option.value ~default:[] (Hashtbl.find_opt tbl k)) with
-        | [] -> Hashtbl.remove tbl k
-        | rest -> Hashtbl.replace tbl k rest
-      in
-      b.b_entries_rev <- List.filter keep b.b_entries_rev;
+    | Some b ->
       b.b_stale <- true;
       b.b_size <- b.b_size - 1;
+      b.b_dead <- b.b_dead + 1;
       if e.e_trig.relevance <> None then b.b_rel_count <- b.b_rel_count - 1;
-      match e.e_index with
-      | Plain -> b.b_plain_rev <- List.filter keep b.b_plain_rev
-      | By_val k ->
-        unlink b.b_by_val k;
-        b.b_indexed <- b.b_indexed - 1
-      | By_cols slots ->
-        List.iter (unlink b.b_by_col) slots;
-        b.b_indexed <- b.b_indexed - 1))
+      if e.e_index <> Plain then b.b_indexed <- b.b_indexed - 1;
+      if b.b_dead > b.b_size then compact b)
 
 let triggers_on t ~table ~event =
   match Hashtbl.find_opt t.trig_index (table, event) with

@@ -156,13 +156,8 @@ let accept_params n =
 let reco_at n =
   let p = accept_params n in
   let built = Workload.build p in
-  (* interpreted plans: arming 1000 triggers must not pay compilation *)
-  let tuning =
-    { Trigview.Runtime.default_tuning with compile_plans = false }
-  in
   let mgr =
-    Trigview.Runtime.create ~strategy:Trigview.Runtime.Grouped ~tuning
-      built.Workload.db
+    Trigview.Runtime.create ~strategy:Trigview.Runtime.Grouped built.Workload.db
   in
   Trigview.Runtime.define_view mgr ~name:"doc" built.Workload.view_text;
   Trigview.Runtime.register_action mgr ~name:"record" (fun _ -> ());

@@ -1,7 +1,6 @@
 (* Golden tests for the firing-provenance audit trail: one fixed
    single-table workload, one trigger, one update — the [Runtime.why]
-   lineage rendering is pinned verbatim under every strategy, compiled and
-   interpreted.  The output is deterministic by design: audit ids and
+   lineage rendering is pinned verbatim under every strategy.  The output is deterministic by design: audit ids and
    statement ids follow execution order and no timestamps are printed. *)
 
 open Relkit
@@ -30,9 +29,9 @@ let mk_db () =
 (* Statement ids in the goldens: #1 is the seed insert, #2 the trigger
    grouping's constants-table insert (absent for MATERIALIZED), the last
    one the audited update. *)
-let setup ?tuning ?condition ?(audit = true) strategy =
+let setup ?condition ?(audit = true) strategy =
   let db = mk_db () in
-  let mgr = Trigview.Runtime.create ~strategy ?tuning db in
+  let mgr = Trigview.Runtime.create ~strategy db in
   Trigview.Runtime.define_view mgr ~name:"catalog" view_text;
   let fired = ref [] in
   Trigview.Runtime.register_action mgr ~name:"rec" (fun fi ->
@@ -77,14 +76,6 @@ let test_grouped_agg () =
   check_why "grouped-agg why"
     (why_expected ~strategy_name:"GROUPED-AGG" ~plan_mode:"compiled")
     (setup Trigview.Runtime.Grouped_agg)
-
-let test_interpreted () =
-  check_why "interpreted why"
-    (why_expected ~strategy_name:"GROUPED" ~plan_mode:"interpreted")
-    (setup
-       ~tuning:
-         { Trigview.Runtime.default_tuning with Trigview.Runtime.compile_plans = false }
-       Trigview.Runtime.Grouped)
 
 (* The MATERIALIZED diff examines both products: P2's node is unchanged and
    is suppressed as spurious — exactly the noise the translated strategies
@@ -174,7 +165,6 @@ let () =
         [ Alcotest.test_case "UNGROUPED" `Quick test_ungrouped;
           Alcotest.test_case "GROUPED" `Quick test_grouped;
           Alcotest.test_case "GROUPED-AGG" `Quick test_grouped_agg;
-          Alcotest.test_case "interpreted" `Quick test_interpreted;
           Alcotest.test_case "MATERIALIZED" `Quick test_materialized;
         ] );
       ( "conditions",

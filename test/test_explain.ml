@@ -30,9 +30,9 @@ let mk_db () =
     ];
   db
 
-let setup ?tuning strategy =
+let setup strategy =
   let db = mk_db () in
-  let mgr = Trigview.Runtime.create ~strategy ?tuning db in
+  let mgr = Trigview.Runtime.create ~strategy db in
   Trigview.Runtime.define_view mgr ~name:"catalog" view_text;
   Trigview.Runtime.register_action mgr ~name:"rec" (fun _ -> ());
   Trigview.Runtime.create_trigger mgr
@@ -107,17 +107,6 @@ let test_materialized () =
      plan: MATERIALIZED baseline -- recompute the monitored level and diff \
      snapshots on every relevant statement\n"
     (setup Trigview.Runtime.Materialized)
-
-let test_interpreted () =
-  check_golden "interpreted explain"
-    "== group 0: GROUPED UPDATE on view catalog ==\n\
-     triggers: t\n\
-     -- table product: interpreted (compilation disabled)\n\
-    \   relevance: cols={pid,pname,price} pred=-\n"
-    (setup
-       ~tuning:
-         { Trigview.Runtime.default_tuning with Trigview.Runtime.compile_plans = false }
-       Trigview.Runtime.Grouped)
 
 (* ------------------------------------------------------------------ *)
 (* Nested view: the inner for becomes a tagger fragment.  Generated
@@ -221,7 +210,6 @@ let () =
           Alcotest.test_case "GROUPED" `Quick test_grouped;
           Alcotest.test_case "GROUPED-AGG" `Quick test_grouped_agg;
           Alcotest.test_case "MATERIALIZED" `Quick test_materialized;
-          Alcotest.test_case "interpreted" `Quick test_interpreted;
         ] );
       ("nested", [ Alcotest.test_case "fragments and masking" `Quick test_nested ]);
     ]

@@ -150,14 +150,20 @@ let flood t ~rounds ~enough =
 
 (* --- the clients --- *)
 
-(* A partial opening, then silence: timed out by the deadline. *)
-let slowloris t =
+(* Sends [opening t], then silence: timed out by the deadline. *)
+let silence_after opening t =
   let fd = t.connect () in
-  send fd t.partial;
+  send fd (opening t);
   let got, eof = read_to_eof t fd in
   Unix.close fd;
   Alcotest.(check bool) (Printf.sprintf "%S in %S" t.timed_out got) true (contains got t.timed_out);
   Alcotest.(check bool) "closed by the server" true eof
+
+(* A partial opening, then silence. *)
+let slowloris = silence_after (fun t -> t.partial)
+
+(* Connects and never sends a byte: the deadline runs from accept. *)
+let silent = silence_after (fun _ -> "")
 
 (* An opening that declares more than 1 MiB: refused at the header. *)
 let oversized t =
@@ -210,10 +216,24 @@ let half_open t =
   flood t ~rounds:1000 ~enough:(fun c -> c.connected = 0);
   Unix.close fd
 
+(* HTTP only (a live socket subscriber idles legitimately): a complete
+   request on a keep-alive connection, then silence.  The connection is
+   back in Reading once its reply drains, with a fresh read deadline, so
+   it is timed out like a silent client after the first reply. *)
+let idle_keep_alive t =
+  let fd = t.connect () in
+  send fd t.request;
+  let got, eof = read_to_eof t fd in
+  Unix.close fd;
+  Alcotest.(check bool) (Printf.sprintf "%S in %S" t.reply got) true (contains got t.reply);
+  Alcotest.(check bool) (Printf.sprintf "%S in %S" t.timed_out got) true (contains got t.timed_out);
+  Alcotest.(check bool) "closed by the server" true eof
+
 (* (name, client, max_buffered, expected socket counters, expected HTTP
    counters) *)
 let clients =
   [ ("slowloris", slowloris, 1 lsl 22, { none with evicted = 1 }, { none with aborted = 1 });
+    ("silent client", silent, 1 lsl 22, { none with evicted = 1 }, { none with aborted = 1 });
     ("oversized input", oversized, 1 lsl 22, none, none);
     ("stalled over max_buffered", stalled_over_buffer, 1 lsl 16,
      { none with dropped = 1 }, { none with dropped = 1 });
@@ -240,5 +260,8 @@ let case make (name, client, max_buffered, want) =
 let () =
   Alcotest.run "hostile"
     [ ("socket", List.map (fun (n, c, b, s, _) -> case socket_target (n, c, b, s)) clients);
-      ("http", List.map (fun (n, c, b, _, h) -> case http_target (n, c, b, h)) clients);
+      ( "http",
+        List.map (fun (n, c, b, _, h) -> case http_target (n, c, b, h)) clients
+        @ [ case http_target
+              ("idle keep-alive", idle_keep_alive, 1 lsl 22, { none with aborted = 1 }) ] );
     ]

@@ -253,6 +253,44 @@ let test_registration_order () =
     (List.rev !fired);
   Alcotest.(check int) "count after emptying the keys" 4 (Database.trigger_count db)
 
+(* Interleaved drops of plain, value-indexed and column-indexed entries
+   cross the compaction point (dropped entries outnumbering live ones)
+   midway, with a dropped name re-created in between; after every drop the
+   bucket lists, counts and fires exactly the live triggers, in creation
+   order, down to an empty bucket. *)
+let test_interleaved_drops () =
+  let db = mk_flat_db () in
+  let fired = ref [] in
+  let by_val = { Database.rel_cols = Some [ "region"; "val" ]; rel_pred = None;
+                 rel_eq = Some ("region", Value.String "r0") }
+  and by_col = { Database.rel_cols = Some [ "val" ]; rel_pred = None; rel_eq = None } in
+  let kinds = [| None; Some by_val; Some by_col |] in
+  let create i n = watch ?relevance:kinds.(i mod 3) db fired n in
+  let live = ref (List.init 12 (Printf.sprintf "t%02d")) in
+  List.iteri create !live;
+  let stmt = ref 0 in
+  let check label =
+    Alcotest.(check (list string)) (label ^ ": triggers_on") !live
+      (List.map
+         (fun t -> t.Database.trig_name)
+         (Database.triggers_on db ~table:"flat" ~event:Database.Update));
+    Alcotest.(check int) (label ^ ": count") (List.length !live) (Database.trigger_count db);
+    fired := [];
+    incr stmt;
+    ignore (update_row db "f0" (set_val (float_of_int !stmt)));
+    Alcotest.(check (list string)) (label ^ ": fired") !live (List.rev !fired)
+  in
+  let drop n =
+    Database.drop_trigger db n;
+    live := List.filter (( <> ) n) !live;
+    check ("drop " ^ n)
+  in
+  List.iter drop [ "t01"; "t03"; "t05"; "t07"; "t09"; "t11" ];
+  create 1 "t01";
+  live := !live @ [ "t01" ];
+  check "re-create t01";
+  List.iter drop [ "t10"; "t08"; "t00"; "t01"; "t06"; "t02"; "t04" ]
+
 let test_prefilter_skip_accounting () =
   let db = mk_flat_db () in
   let fired = ref [] in
@@ -436,6 +474,7 @@ let () =
       ( "firing path",
         [ Alcotest.test_case "no-op update stats" `Quick test_noop_update_stats;
           Alcotest.test_case "registration order" `Quick test_registration_order;
+          Alcotest.test_case "interleaved drops" `Quick test_interleaved_drops;
           Alcotest.test_case "prefilter accounting" `Quick test_prefilter_skip_accounting;
         ] );
       ( "differential",

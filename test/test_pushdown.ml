@@ -33,13 +33,20 @@ let capture_ctx db ~table ~event dml =
   Database.drop_trigger db "capture!";
   Option.get !captured
 
-(* Compare render against Eval on the same graph and context, projected to
-   the graph's own output columns. *)
+(* Execute a shredded graph through its compiled form, compiled against
+   the context's database. *)
+let render ?cols ctx shredded =
+  Trigview.Pushdown.render_compiled ?cols
+    (Trigview.Pushdown.compile ctx.Ra_eval.db shredded)
+    ctx
+
+(* Compare the compiled render against Eval on the same graph and context,
+   projected to the graph's own output columns. *)
 let assert_equivalent ?(passes = fun p -> p) ctx graph =
   let reference = Eval.eval ctx graph in
   let shredded = Trigview.Pushdown.shred graph in
   let shredded = { shredded with Trigview.Pushdown.plan = passes shredded.Trigview.Pushdown.plan } in
-  let rendered = Trigview.Pushdown.render ctx shredded in
+  let rendered = render ctx shredded in
   if not (Eval.equal_xrel reference rendered) then
     Alcotest.failf "pushdown diverges from reference:@.ref %a@.got %a" Eval.pp_xrel
       reference Eval.pp_xrel rendered
@@ -138,7 +145,7 @@ let test_grouped_agg_inversion_equivalence () =
             Trigview.Pushdown.invert_old_aggregates ~table:"vendor"
               (Trigview.Pushdown.shred g)
           in
-          let rendered = Trigview.Pushdown.render tctx shredded in
+          let rendered = render tctx shredded in
           if not (Eval.equal_xrel reference rendered) then
             Alcotest.failf "GROUPED-AGG diverges (%s, %s):@.ref %a@.got %a" name
               (Database.string_of_event xml_event)
@@ -176,7 +183,7 @@ let test_render_partial_columns () =
   let g = an_graph ~check:Trigview.Angraph.No_check Database.Update in
   let shredded = Trigview.Pushdown.shred g in
   let rel =
-    Trigview.Pushdown.render ~cols:[ "pname"; "new_node" ] tctx shredded
+    render ~cols:[ "pname"; "new_node" ] tctx shredded
   in
   Alcotest.(check int) "one row" 1 (List.length rel.Eval.rows);
   Alcotest.(check (array string)) "columns" [| "pname"; "new_node" |] rel.Eval.cols
@@ -237,7 +244,7 @@ let prop_pushdown_differential =
             in
             List.iter
               (fun v ->
-                if not (Eval.equal_xrel reference (Trigview.Pushdown.render tctx v)) then
+                if not (Eval.equal_xrel reference (render tctx v)) then
                   ok := false)
               variants)
           [ Database.Update; Database.Insert; Database.Delete ]

@@ -4,8 +4,8 @@
    provenance of view-originated statements, crash recovery of view DML, and
    the qcheck differential property over the Table-2 workload — view DML on
    one instance must leave the extracted document and the trigger firings
-   identical to direct base DML on a twin, under all four runtime strategies,
-   compiled and interpreted. *)
+   identical to direct base DML on a twin, under all four runtime
+   strategies. *)
 
 open Relkit
 module Runtime = Trigview.Runtime
@@ -405,9 +405,9 @@ let op_gen =
         (2, map2 (fun l p -> Wins (l, p)) (int_bound 1000) (int_range 1 400));
       ])
 
-let build_instance strategy tuning log =
+let build_instance strategy log =
   let built = W.build diff_params in
-  let mgr = Runtime.create ~strategy ~tuning built.W.db in
+  let mgr = Runtime.create ~strategy built.W.db in
   Runtime.define_view mgr ~name:"doc" built.W.view_text;
   Runtime.register_action mgr ~name:"record" (fun fi ->
       log :=
@@ -419,10 +419,10 @@ let build_instance strategy tuning log =
   W.install_triggers mgr diff_params ~target_name:built.W.top_names.(0);
   (built, mgr)
 
-let differential_case strategy tuning ops =
+let differential_case strategy ops =
   let log_a = ref [] and log_b = ref [] in
-  let built_a, mgr_a = build_instance strategy tuning log_a in
-  let built_b, mgr_b = build_instance strategy tuning log_b in
+  let built_a, mgr_a = build_instance strategy log_a in
+  let built_b, mgr_b = build_instance strategy log_b in
   let leaf_table = W.table_name diff_params.W.depth in
   let all_leaves = Array.concat (Array.to_list built_a.W.leaf_ids_of_top) in
   let fresh = ref 0 in
@@ -485,21 +485,18 @@ let differential_case strategy tuning ops =
       (Runtime.strategy_to_string strategy);
   true
 
-let differential_test strategy ~compiled =
-  let tuning = { Runtime.default_tuning with Runtime.compile_plans = compiled } in
+let differential_test strategy =
   QCheck.Test.make
     ~name:
-      (Printf.sprintf "view DML = direct base DML (%s, %s)"
-         (Runtime.strategy_to_string strategy)
-         (if compiled then "compiled" else "interpreted"))
+      (Printf.sprintf "view DML = direct base DML (%s, compiled)"
+         (Runtime.strategy_to_string strategy))
     ~count:4
     (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 2 6) op_gen))
-    (differential_case strategy tuning)
+    (differential_case strategy)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    (List.concat_map
-       (fun s -> [ differential_test s ~compiled:true; differential_test s ~compiled:false ])
+    (List.map differential_test
        [ Runtime.Ungrouped; Runtime.Grouped; Runtime.Grouped_agg; Runtime.Materialized ])
 
 let () =
