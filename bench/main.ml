@@ -1408,5 +1408,9 @@ let () =
         | "http" -> http_fig ~full
         | other -> Printf.printf "unknown figure %S\n" other)
       figs;
-  if !json_requested then write_json ~full "BENCH_5.json";
+  (* BENCH_5.json holds the overhead, fanout and phases results: a run of
+     other figures leaves it alone rather than overwrite it with nulls *)
+  if !json_requested
+     && List.exists (fun f -> List.mem f [ "overhead"; "fanout"; "phases" ]) figs
+  then write_json ~full "BENCH_5.json";
   Printf.printf "\n(total action dispatches across all sweeps: %d)\n" !dispatched

@@ -799,14 +799,18 @@ let explain_compiled_json (c : compiled) =
        (Relkit.Ra_compile.explain_json c.c_ra)
        (String.concat ", " frag_json))
 
-let render_compiled ?cols (c : compiled) ctx : Eval.xrel =
+let exec_scalar (c : compiled) ctx =
   let trace = Relkit.Database.tracer ctx.Ra_eval.db in
-  let wanted = match cols with Some cs -> cs | None -> c.c_out_cols in
   let t0 = Obs.Trace.start trace in
   let rel = Relkit.Ra_compile.exec c.c_ra ctx in
   if Obs.Trace.enabled trace then
     Obs.Trace.finish_note trace t0 "plan.exec"
       (Printf.sprintf "compiled rows=%d" (List.length rel.Ra_eval.rows));
+  rel
+
+let tag_rows ?cols (c : compiled) ctx rows : Eval.xrel =
+  let trace = Relkit.Database.tracer ctx.Ra_eval.db in
+  let wanted = match cols with Some cs -> cs | None -> c.c_out_cols in
   let t1 = Obs.Trace.start trace in
   let getters =
     List.map
@@ -814,7 +818,7 @@ let render_compiled ?cols (c : compiled) ctx : Eval.xrel =
         match List.assoc name c.c_getters with
         | `Slot i -> fun row -> Xval.atom row.(i)
         | `Tpl (node, slots) ->
-          let tag = node.bind ctx rel.Ra_eval.rows in
+          let tag = node.bind ctx rows in
           (* Rows agreeing on the template's slots (e.g. the same view node
              matched by many triggers) share one physically equal value. *)
           let memo : (Value.t array, Xval.t) Hashtbl.t = Hashtbl.create 8 in
@@ -828,15 +832,16 @@ let render_compiled ?cols (c : compiled) ctx : Eval.xrel =
               v))
       wanted
   in
-  let rows =
-    List.map
-      (fun row -> Array.of_list (List.map (fun g -> g row) getters))
-      rel.Ra_eval.rows
+  let out =
+    List.map (fun row -> Array.of_list (List.map (fun g -> g row) getters)) rows
   in
   if Obs.Trace.enabled trace then
     Obs.Trace.finish_note trace t1 "tagger"
-      (Printf.sprintf "compiled rows=%d" (List.length rows));
-  { Eval.cols = Array.of_list wanted; rows }
+      (Printf.sprintf "compiled rows=%d" (List.length out));
+  { Eval.cols = Array.of_list wanted; rows = out }
+
+let render_compiled ?cols c ctx =
+  tag_rows ?cols c ctx (exec_scalar c ctx).Ra_eval.rows
 
 let to_sql (t : t) =
   (* Present the levels as one sorted-outer-union query: the top level is

@@ -90,9 +90,25 @@ val compile :
   t ->
   compiled
 
-(** Per-firing execution; produces what {!Xqgm.Eval.eval} produces for the
-    shredded graph on the same context.  [cols] defaults to all output
-    columns. *)
+(** Runs the compiled top-level scalar plan: one row per output tuple,
+    holding the scalar output columns (and the hidden columns the templates
+    read) but no XML. *)
+val exec_scalar : compiled -> Relkit.Ra_eval.ctx -> Relkit.Ra_eval.rel
+
+(** [tag_rows c ctx rows] builds the requested output columns ([cols],
+    default all) of [rows], which must come from {!exec_scalar} on [c].
+    Fragment engines bind only these rows' link keys, so tagging a few
+    rows of a large level computes only their subtrees. *)
+val tag_rows :
+  ?cols:string list ->
+  compiled ->
+  Relkit.Ra_eval.ctx ->
+  Relkit.Value.t array list ->
+  Xqgm.Eval.xrel
+
+(** Per-firing execution, {!exec_scalar} then {!tag_rows} over every row;
+    produces what {!Xqgm.Eval.eval} produces for the shredded graph on the
+    same context.  [cols] defaults to all output columns. *)
 val render_compiled :
   ?cols:string list -> compiled -> Relkit.Ra_eval.ctx -> Xqgm.Eval.xrel
 

@@ -164,7 +164,11 @@ and t = {
   mutable n_dropped : int;  (* lifetime: [reset_stats] keeps it *)
   ra_counters : Relkit.Ra_compile.counters;
   frag_memo : Pushdown.frag_memo;
-      (* fragment engines shared across all compiled trigger groups *)
+      (* fragment engines shared across all compiled trigger groups and
+         view-level readers *)
+  mutable level_plans : (Compile.view_tree * exec) list;
+      (* view levels read so far (physical key), each compiled on its
+         first read *)
   scan_stats : Ra_eval.scan_stats;
       (* per-manager scan accounting, shared by all firing contexts *)
   histograms : Obs.Metrics.registry;
@@ -235,6 +239,7 @@ let create ?(strategy = Grouped_agg) ?(tuning = default_tuning) db =
     n_dropped = 0;
     ra_counters = Relkit.Ra_compile.create_counters ();
     frag_memo = Pushdown.create_frag_memo ();
+    level_plans = [];
     scan_stats = Ra_eval.create_scan_stats ();
     histograms = Obs.Metrics.create_registry ();
     next_group = 0;
@@ -1841,45 +1846,122 @@ let view_level view level =
     | Some n -> n
     | None -> fail "view has no element level %S" tag)
 
-let view_level_fields t ~view ?level () =
+let find_view_exn t view =
   match List.assoc_opt view t.views with
   | None -> fail "unknown view %S" view
-  | Some v ->
-    let lvl = view_level v level in
-    List.map fst lvl.Compile.fields
+  | Some v -> v
+
+let view_level_fields t ~view ?level () =
+  List.map fst (view_level (find_view_exn t view) level).Compile.fields
 
 (* One row per element of the level, in document order, carrying the
-   constructed node plus the level's provenance fields as scalars — the
-   relation the HTTP layer's RQL compiles against. *)
+   constructed node plus the level's provenance fields as scalars: the
+   reference read, evaluated through the XQGM interpreter. *)
+let level_rows t lvl =
+  let ctx = Ra_eval.ctx_of_db ~stats:t.scan_stats t.db in
+  let rel = Eval.eval_sorted ctx ~by:lvl.Compile.key lvl.Compile.op in
+  let node_slot = Eval.col_index rel lvl.Compile.node_col in
+  let field_slots =
+    List.map
+      (fun (name, col) -> (name, Eval.col_index rel col))
+      lvl.Compile.fields
+  in
+  let scalar v =
+    try Xval.atomize v
+    with Invalid_argument _ -> Value.String (Xval.to_string v)
+  in
+  List.filter_map
+    (fun row ->
+      match row.(node_slot) with
+      | Xval.Node n ->
+        Some
+          { vr_tag = lvl.Compile.elem_tag;
+            vr_node = n;
+            vr_fields =
+              List.map (fun (name, i) -> (name, scalar row.(i))) field_slots;
+          }
+      | _ -> None)
+    rel.Eval.rows
+
 let view_rows t ~view ?level () =
-  match List.assoc_opt view t.views with
-  | None -> fail "unknown view %S" view
-  | Some v ->
-    let lvl = view_level v level in
+  level_rows t (view_level (find_view_exn t view) level)
+
+type level_read = {
+  lr_tag : string;
+  lr_fields : (string * string) list;
+  lr_order : string list;
+  lr_rows : Ra_eval.rel;
+  lr_nodes : Value.t array list -> Xml.t list;
+}
+
+(* A level's plan is shredded and compiled like a trigger plan on its first
+   read, sharing the runtime's fragment engines.  The level is read through
+   the reference evaluator instead when its graph is not pushable, when its
+   plan fails to compile, or when its node column is not an element
+   template or a field or key column is XML-valued. *)
+let level_plan t lvl =
+  match List.assq_opt lvl t.level_plans with
+  | Some p -> p
+  | None ->
+    let p =
+      match Pushdown.shred lvl.Compile.op with
+      | exception Pushdown.Not_pushable _ -> Middleware "graph not pushable"
+      | s ->
+        let xml c = List.mem_assoc c s.Pushdown.xml in
+        let element =
+          match List.assoc_opt lvl.Compile.node_col s.Pushdown.xml with
+          | Some (Pushdown.T_elem _) -> true
+          | _ -> false
+        in
+        if
+          (not element)
+          || List.exists xml (lvl.Compile.key @ List.map snd lvl.Compile.fields)
+        then Middleware "level is not one element per scalar row"
+        else (
+          match Pushdown.compile ~frag_memo:t.frag_memo t.db s with
+          | c -> Compiled c
+          | exception _ -> Middleware "compilation failed")
+    in
+    t.level_plans <- (lvl, p) :: t.level_plans;
+    p
+
+let read_level t ~view ?level () =
+  let lvl = view_level (find_view_exn t view) level in
+  match level_plan t lvl with
+  | Compiled c ->
     let ctx = Ra_eval.ctx_of_db ~stats:t.scan_stats t.db in
-    let rel = Eval.eval_sorted ctx ~by:lvl.Compile.key lvl.Compile.op in
-    let node_slot = Eval.col_index rel lvl.Compile.node_col in
-    let field_slots =
-      List.map
-        (fun (name, col) -> (name, Eval.col_index rel col))
-        lvl.Compile.fields
-    in
-    let scalar v =
-      try Xval.atomize v
-      with Invalid_argument _ -> Value.String (Xval.to_string v)
-    in
-    List.filter_map
-      (fun row ->
-        match row.(node_slot) with
-        | Xval.Node n ->
-          Some
-            { vr_tag = lvl.Compile.elem_tag;
-              vr_node = n;
-              vr_fields =
-                List.map (fun (name, i) -> (name, scalar row.(i))) field_slots;
-            }
-        | _ -> None)
-      rel.Eval.rows
+    let node_col = lvl.Compile.node_col in
+    { lr_tag = lvl.Compile.elem_tag;
+      lr_fields = lvl.Compile.fields;
+      lr_order = lvl.Compile.key;
+      lr_rows = Pushdown.exec_scalar c ctx;
+      lr_nodes =
+        (fun rows ->
+          List.map
+            (fun r ->
+              match r.(0) with
+              | Xval.Node n -> n
+              | _ -> assert false (* an element template builds a node *))
+            (Pushdown.tag_rows ~cols:[ node_col ] c ctx rows).Eval.rows);
+    }
+  | Middleware _ ->
+    (* the reference rows, already in document order; a [__row] column
+       indexes each row's node *)
+    let rows = Array.of_list (level_rows t lvl) in
+    let names = List.map fst lvl.Compile.fields in
+    { lr_tag = lvl.Compile.elem_tag;
+      lr_fields = List.map (fun f -> (f, f)) names;
+      lr_order = [];
+      lr_rows =
+        { Ra_eval.cols = Array.of_list ("__row" :: names);
+          rows =
+            Array.to_list
+              (Array.mapi
+                 (fun i r -> Array.of_list (Value.Int i :: List.map snd r.vr_fields))
+                 rows);
+        };
+      lr_nodes = List.map (fun r -> rows.(Value.to_int r.(0)).vr_node);
+    }
 
 (* --- observability: tracing, latency histograms, EXPLAIN, reports --- *)
 

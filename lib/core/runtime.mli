@@ -176,8 +176,34 @@ val view_level_fields : t -> view:string -> ?level:string -> unit -> string list
 
 (** One {!view_row} per element of [level], in document order, evaluated
     through the reference XQGM evaluator against current table contents.
+    This is the reference read: tests and trigbench's [front-door] check
+    compare {!read_level} (what [GET /views/:name] serves) against it.
     @raise Error on unknown view or level. *)
 val view_rows : t -> view:string -> ?level:string -> unit -> view_row list
+
+(** A level's elements as scalar rows, with their XML built on demand. *)
+type level_read = {
+  lr_tag : string;  (** element tag of the level *)
+  lr_fields : (string * string) list;
+      (** each provenance field (as in {!view_level_fields}) and the
+          column of [lr_rows] holding it *)
+  lr_order : string list;
+      (** columns of [lr_rows]: a stable sort on them, ascending, gives
+          document order *)
+  lr_rows : Relkit.Ra_eval.rel;  (** one row per element *)
+  lr_nodes : Relkit.Value.t array list -> Xmlkit.Xml.t list;
+      (** the elements of the given rows, which have [lr_rows]' layout
+          (rows of it, filtered and reordered) *)
+}
+
+(** Reads [level] for a query.  The level's plan is shredded and compiled
+    ({!Pushdown.compile}) on its first read and kept; [lr_rows] is then the
+    compiled scalar plan's result and [lr_nodes] tags only the rows it is
+    given.  A level that is not pushable, whose plan fails to compile, or
+    whose node or fields do not shred to one element template over
+    scalar columns is read through {!view_rows} instead.
+    @raise Error on unknown view or level. *)
+val read_level : t -> view:string -> ?level:string -> unit -> level_read
 
 (** {2 Observability: tracing, latency histograms, EXPLAIN}
 

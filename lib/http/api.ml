@@ -116,60 +116,45 @@ let query_view t name (req : Httpd.request) =
       | Some a when contains_sub a "application/xml" -> `Xml
       | _ -> `Json)
   in
-  let fields = Runtime.view_level_fields t.mgr ~view:name ?level () in
-  let q =
-    try Rql.parse rql_text
-    with Rql.Error msg -> raise (Rql.Error msg)
+  let { Runtime.lr_tag = level_tag; lr_fields; lr_order; lr_rows; lr_nodes } =
+    Runtime.read_level t.mgr ~view:name ?level ()
   in
-  let rows = Runtime.view_rows t.mgr ~view:name ?level () in
+  let q = Rql.parse rql_text in
   let db = Runtime.database t.mgr in
-  (* the queried relation: one row per element, the level's provenance
-     fields as columns plus the element's document-order index; RQL
-     filters and sorts compile onto it and run through the same
-     compiling executor as the trigger runtime's plans *)
-  let cols = "__row" :: fields in
-  let vrows =
-    List.mapi
-      (fun i (r : Runtime.view_row) ->
-        Array.of_list (Value.Int i :: List.map snd r.Runtime.vr_fields))
-      rows
+  (* the queried relation is the level's scalar rows, bound by name: RQL
+     filters and sorts compile onto a scan of it and run through the same
+     compiling executor as the trigger runtime's plans; XML is built only
+     for the page [limit] returns *)
+  let plan =
+    Rql.compile ~fields:lr_fields ~order:lr_order q
+      (Ra.Scan
+         (Ra.Rel "rql$level", List.map (fun c -> (c, c)) (Array.to_list lr_rows.Ra_eval.cols)))
   in
-  let plan = Rql.compile ~columns:fields q (Ra.Values (cols, vrows)) in
-  let rel = Ra_compile.exec (Ra_compile.compile db plan) (Ra_eval.ctx_of_db db) in
-  let idx = Ra_eval.col_index rel "__row" in
-  let arr = Array.of_list rows in
-  let matched =
-    List.map (fun r -> arr.(Value.to_int r.(idx))) rel.Ra_eval.rows
-  in
+  let ctx = { (Ra_eval.ctx_of_db db) with Ra_eval.rels = [ ("rql$level", lr_rows) ] } in
+  let matched = (Ra_compile.exec (Ra_compile.compile db plan) ctx).Ra_eval.rows in
   let total = List.length matched in
-  let out = Rql.limit_slice q matched in
+  let page = Rql.limit_slice q matched in
+  let out = List.combine page (lr_nodes page) in
+  let field_names = List.map fst lr_fields in
   let render_fields =
-    match q.Rql.select with
-    | [] -> fields
-    | sel -> List.map (Rql.resolve_field ~columns:fields) sel
-  in
-  let level_tag =
-    match (level, rows) with
-    | Some l, _ -> l
-    | None, r :: _ -> r.Runtime.vr_tag
-    | None, [] -> ""
+    List.map
+      (fun f -> (f, Ra_eval.col_index lr_rows (List.assoc f lr_fields)))
+      (match q.Rql.select with
+      | [] -> field_names
+      | sel -> List.map (Rql.resolve_field ~columns:field_names) sel)
   in
   match format with
   | `Json ->
-    let row_json (r : Runtime.view_row) =
+    let row_json (row, node) =
       let fields_json =
         String.concat ", "
           (List.map
-             (fun f ->
-               Printf.sprintf "\"%s\": %s" (jesc f)
-                 (json_of_value
-                    (match List.assoc_opt f r.Runtime.vr_fields with
-                    | Some v -> v
-                    | None -> Value.Null)))
+             (fun (f, i) ->
+               Printf.sprintf "\"%s\": %s" (jesc f) (json_of_value row.(i)))
              render_fields)
       in
       Printf.sprintf "{\"fields\": {%s}, \"xml\": \"%s\"}" fields_json
-        (jesc (Xml.to_string r.Runtime.vr_node))
+        (jesc (Xml.to_string node))
     in
     json_response
       (Printf.sprintf
@@ -183,10 +168,7 @@ let query_view t name (req : Httpd.request) =
       (Printf.sprintf
          "<results view=\"%s\" level=\"%s\" total=\"%d\" count=\"%d\">"
          (xml_escape name) (xml_escape level_tag) total (List.length out));
-    List.iter
-      (fun (r : Runtime.view_row) ->
-        Buffer.add_string buf (Xml.to_string r.Runtime.vr_node))
-      out;
+    List.iter (fun (_, node) -> Buffer.add_string buf (Xml.to_string node)) out;
     Buffer.add_string buf "</results>";
     text_response ~ctype:"application/xml" (Buffer.contents buf)
 

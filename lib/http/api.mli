@@ -7,7 +7,8 @@
       level, [format=json|xml] / [Accept: application/xml] to pick the
       rendering).  Filters and sorts compile onto the relational
       planner ({!Relkit.Ra_compile}) over the level's provenance
-      fields.
+      fields, read as scalar rows ({!Trigview.Runtime.read_level});
+      XML is built only for the rows [limit] returns.
     - [POST /sql] — body is one SQL statement, executed exactly like
       the CLI's SQL path: triggers fire, audit origin and WAL records
       are written by the same machinery.

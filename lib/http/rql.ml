@@ -242,9 +242,12 @@ let ra_cmp = function
   | Gt -> Ra.Gt
   | Ge -> Ra.Ge
 
-let compile ~columns q plan =
+let compile ~fields ~order q plan =
+  let column f =
+    List.assoc (resolve_field ~columns:(List.map fst fields) f) fields
+  in
   (* validate select() names even though projection happens at render *)
-  List.iter (fun f -> ignore (resolve_field ~columns f)) q.select;
+  List.iter (fun f -> ignore (column f)) q.select;
   let plan =
     match q.filters with
     | [] -> plan
@@ -253,23 +256,17 @@ let compile ~columns q plan =
         Ra.conj
           (List.map
              (fun f ->
-               Ra.Binop
-                 ( ra_cmp f.f_cmp,
-                   Ra.Col (resolve_field ~columns f.f_field),
-                   Ra.Const f.f_value ))
+               Ra.Binop (ra_cmp f.f_cmp, Ra.Col (column f.f_field), Ra.Const f.f_value))
              filters)
       in
       Ra.Select (pred, plan)
   in
-  match q.sorts with
+  match
+    List.map (fun (f, desc) -> (column f, if desc then Ra.Desc else Ra.Asc)) q.sorts
+    @ List.map (fun c -> (c, Ra.Asc)) order
+  with
   | [] -> plan
-  | sorts ->
-    Ra.Order_by
-      ( List.map
-          (fun (f, desc) ->
-            (resolve_field ~columns f, if desc then Ra.Desc else Ra.Asc))
-          sorts,
-        plan )
+  | keys -> Ra.Order_by (keys, plan)
 
 let limit_slice q rows =
   match q.limit with

@@ -23,7 +23,8 @@
     Queries compile onto the relational planner: {!compile} wraps a plan
     producing the queried columns with [Select] / [Order_by] nodes, so
     filtering and sorting run through the same {!Relkit.Ra_compile}
-    executor as the trigger runtime's delta queries. *)
+    executor as the trigger runtime's delta queries, over the scalar rows
+    of a view level before any of its XML is built. *)
 
 type cmp = Eq | Ne | Lt | Le | Gt | Ge
 
@@ -61,11 +62,17 @@ val print : t -> string
     @raise Error when neither exists. *)
 val resolve_field : columns:string list -> string -> string
 
-(** Wraps [plan] (producing [columns]) with the query's [Select] and
-    [Order_by]; [limit] and [select] are not part of the plan — apply
-    {!limit_slice} to the executed rows and filter rendered fields.
+(** [compile ~fields ~order q plan] wraps [plan] with the query's
+    [Select] and [Order_by].  [fields] maps each queryable field name to
+    the column of [plan] holding it; filter and sort fields resolve
+    through {!resolve_field} and then this map.  The sort keys are
+    followed by the [order] columns ascending, the order [plan]'s rows
+    take in the document, so rows that tie on every sort key keep
+    document order.  [limit] and [select] are not part of the plan:
+    apply {!limit_slice} to the executed rows and filter rendered fields.
     @raise Error on unknown fields. *)
-val compile : columns:string list -> t -> Relkit.Ra.t -> Relkit.Ra.t
+val compile :
+  fields:(string * string) list -> order:string list -> t -> Relkit.Ra.t -> Relkit.Ra.t
 
 (** Applies the [limit(offset,count)] slice. *)
 val limit_slice : t -> 'a list -> 'a list

@@ -504,6 +504,9 @@ let fire_triggers t ~target ~event ~stmt_id ~inserted ~deleted ?touched () =
 
 (* --- DML --- *)
 
+(* Every check runs before anything is mutated, so a rejected batch leaves
+   the table as it was: row constraints, then primary keys repeated within
+   the batch, then primary keys already in the table. *)
 let validate_batch t tbl rows =
   List.iter
     (fun row ->
@@ -511,27 +514,27 @@ let validate_batch t tbl rows =
       check_uniques tbl row;
       check_foreign_keys t tbl row)
     rows;
-  (* Detect duplicate PKs within the batch before mutating anything. *)
-  let seen = Hashtbl.create (List.length rows) in
+  let schema = Table.schema tbl in
+  let pks = List.map (Schema.pk_of_row schema) rows in
+  let seen = Table.Pk_table.create (List.length rows) in
   List.iter
-    (fun row ->
-      let pk = Schema.pk_of_row (Table.schema tbl) row in
-      let key = List.map Value.to_string pk in
-      if Hashtbl.mem seen key then
+    (fun pk ->
+      if Table.Pk_table.mem seen pk then
         invalid_arg "duplicate primary key within inserted batch";
-      Hashtbl.add seen key ())
-    rows
+      Table.Pk_table.add seen pk ())
+    pks;
+  List.iter
+    (fun pk ->
+      if Table.find_pk tbl pk <> None then
+        invalid_arg
+          (Printf.sprintf "duplicate primary key on insert into %S"
+             schema.Schema.name))
+    pks
 
 let insert_no_fire t ~table rows =
   let tbl = get_table t table in
   validate_batch t tbl rows;
-  List.iter
-    (fun row ->
-      if Table.find_pk tbl (Schema.pk_of_row (Table.schema tbl) row) <> None then
-        invalid_arg
-          (Printf.sprintf "duplicate primary key on insert into %S" table);
-      Table.insert_exn tbl row)
-    rows;
+  List.iter (Table.insert_exn tbl) rows;
   if rows <> [] then notify t (Ch_insert { table; rows })
 
 (* Span label for one DML statement; only called when tracing is enabled. *)

@@ -6,6 +6,10 @@
 
 type t
 
+(** Hash tables keyed by primary-key values, with the equality and hash
+    the row store uses ({!Value.equal}, {!Value.hash}). *)
+module Pk_table : Hashtbl.S with type key = Value.t list
+
 val create : Schema.t -> t
 val schema : t -> Schema.t
 val row_count : t -> int

@@ -65,19 +65,24 @@ let test_rql_errors () =
   bad "eq(a,%GG)";
   bad "noparens"
 
-(* round-trip: print is canonical, parse . print = id *)
-let rql_gen =
+(* Random queries naming fields drawn from [field]; values include the
+   fixture's prices and names, so filters over the catalog view select
+   some rows. *)
+let rql_gen_over field =
   let open QCheck.Gen in
-  let field = oneofl [ "name"; "price"; "vid"; "a_b"; "x" ] in
   let value =
     oneof
       [ map (fun n -> Value.Int n) small_signed_int;
+        map (fun n -> Value.Int n) (int_range 90 210);
         map (fun b -> Value.Bool b) bool;
         return Value.Null;
         map (fun f -> Value.Float f) (float_range (-1000.) 1000.);
         map
           (fun s -> Value.String s)
-          (oneofl [ "ASIA"; "CRT 15"; "a,b"; "x&y"; "(p)"; "string:z"; "-q"; "" ]);
+          (oneofl
+             [ "ASIA"; "CRT 15"; "LCD 19"; "Bestbuy"; "P2"; "a,b"; "x&y"; "(p)";
+               "string:z"; "-q"; "";
+             ]);
       ]
   in
   let filter =
@@ -94,6 +99,9 @@ let rql_gen =
     (fun ((filters, sorts), (limit, select)) ->
       { Rql.filters; sorts; limit; select })
     (pair (pair (list_size (int_bound 4) filter) sorts) (pair limit select))
+
+(* round-trip: print is canonical, parse . print = id *)
+let rql_gen = rql_gen_over (QCheck.Gen.oneofl [ "name"; "price"; "vid"; "a_b"; "x" ])
 
 let test_rql_roundtrip =
   QCheck.Test.make ~count:500 ~name:"rql print/parse round-trip"
@@ -348,6 +356,214 @@ let test_http_query_errors () =
   Alcotest.(check int) "405" 405 r.r_status;
   let r = request api "/nope" in
   Alcotest.(check int) "404" 404 r.r_status
+
+(* --- the read path against the recompute oracle --- *)
+
+let json_of_value = function
+  | Value.Null -> "null"
+  | Value.Int n -> string_of_int n
+  | Value.Float f ->
+    if Float.is_finite f then
+      let s = Printf.sprintf "%.12g" f in
+      if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
+    else "null"
+  | Value.Bool b -> if b then "true" else "false"
+  | Value.String s -> Printf.sprintf "\"%s\"" (Obs.Metrics.json_escape s)
+
+let xml_escape s =
+  String.concat ""
+    (List.map
+       (function
+         | '<' -> "&lt;" | '>' -> "&gt;" | '&' -> "&amp;" | '"' -> "&quot;"
+         | c -> String.make 1 c)
+       (List.of_seq (String.to_seq s)))
+
+(* The body [GET /views/VIEW?query] must serve, recomputed from the
+   reference rows: [view_rows] copied into a [Values] relation with each
+   row's document-order index, filtered and sorted by the RQL plan through
+   the reference evaluator, sliced, and rendered.  [default] is the tag of
+   the view's default level. *)
+let oracle_body ?(view = "catalog") ?(default = "product") mgr ~level ~format ~query q =
+  let jesc = Obs.Metrics.json_escape in
+  let fields = Runtime.view_level_fields mgr ~view ?level () in
+  let rows = Array.of_list (Runtime.view_rows mgr ~view ?level ()) in
+  let vrows =
+    Array.to_list
+      (Array.mapi
+         (fun i r -> Array.of_list (Value.Int i :: List.map snd r.Runtime.vr_fields))
+         rows)
+  in
+  match
+    Rql.compile ~fields:(List.map (fun f -> (f, f)) fields) ~order:[] q
+      (Relkit.Ra.Values ("__row" :: fields, vrows))
+  with
+  | exception Rql.Error msg ->
+    ( 400,
+      Printf.sprintf
+        "{\"error\": \"%s\", \"detail\": {\"query\": \"%s\", \"fields\": [%s]}}"
+        (jesc msg) (jesc query)
+        (String.concat ", " (List.map (fun f -> Printf.sprintf "[\"%s\"]" (jesc f)) fields)) )
+  | plan ->
+    let db = Runtime.database mgr in
+    let rel = Relkit.Ra_eval.eval (Relkit.Ra_eval.ctx_of_db db) plan in
+    let matched = List.map (fun r -> rows.(Value.to_int r.(0))) rel.Relkit.Ra_eval.rows in
+    let out = Rql.limit_slice q matched in
+    let shown =
+      match q.Rql.select with
+      | [] -> fields
+      | sel -> List.map (Rql.resolve_field ~columns:fields) sel
+    in
+    let tag = Option.value level ~default in
+    let total = List.length matched and count = List.length out in
+    ( 200,
+      match format with
+      | `Json ->
+        let row_json (r : Runtime.view_row) =
+          Printf.sprintf "{\"fields\": {%s}, \"xml\": \"%s\"}"
+            (String.concat ", "
+               (List.map
+                  (fun f ->
+                    Printf.sprintf "\"%s\": %s" (jesc f)
+                      (json_of_value (List.assoc f r.Runtime.vr_fields)))
+                  shown))
+            (jesc (Xmlkit.Xml.to_string r.Runtime.vr_node))
+        in
+        Printf.sprintf
+          "{\"view\": \"%s\", \"level\": \"%s\", \"total\": %d, \"count\": %d, \
+           \"rows\": [%s]}"
+          (jesc view) (jesc tag) total count
+          (String.concat ", " (List.map row_json out))
+      | `Xml ->
+        Printf.sprintf "<results view=\"%s\" level=\"%s\" total=\"%d\" count=\"%d\">%s</results>"
+          (xml_escape view) (xml_escape tag) total count
+          (String.concat ""
+             (List.map (fun r -> Xmlkit.Xml.to_string r.Runtime.vr_node) out)) )
+
+(* Base writes between queries: they move prices, add and drop offers and
+   products, so the version-keyed caches of the compiled level plans (hash
+   join build sides, fragment results) are invalidated between reads. *)
+let write_gen =
+  let open QCheck.Gen in
+  let vid = oneofl [ "Amazon"; "Bestbuy"; "Circuitcity"; "Newco" ] in
+  let pid = oneofl [ "P1"; "P2"; "P3"; "P4" ] in
+  oneof
+    [ map3
+        (fun v p price ->
+          Printf.sprintf "UPDATE vendor SET price = %d.0 WHERE vid = '%s' AND pid = '%s'"
+            price v p)
+        vid pid (int_range 90 210);
+      map3
+        (fun v p price -> Printf.sprintf "INSERT INTO vendor VALUES ('%s', '%s', %d.0)" v p price)
+        vid pid (int_range 90 210);
+      map2 (fun v p -> Printf.sprintf "DELETE FROM vendor WHERE vid = '%s' AND pid = '%s'" v p) vid pid;
+      map
+        (fun name -> Printf.sprintf "INSERT INTO product VALUES ('P4', '%s', 'Acme')" name)
+        (oneofl [ "CRT 15"; "LCD 19"; "OLED 27" ]);
+    ]
+
+let read_step_gen =
+  let open QCheck.Gen in
+  (* Now and then a field the level does not have, for the error body.  At
+     most one filter and small limits, so most pages are not empty. *)
+  let query level fields =
+    map2
+      (fun format (q : Rql.t) ->
+        let q =
+          { q with
+            filters = List.filteri (fun i _ -> i < 1) q.filters;
+            limit = Option.map (fun (off, cnt) -> (off mod 9, cnt mod 9)) q.limit;
+          }
+        in
+        `Query (level, format, q))
+      (oneofl [ `Json; `Xml ])
+      (rql_gen_over (frequency [ (20, oneofl fields); (1, return "nosuch") ]))
+  in
+  frequency
+    [ (* the whole default level: the same fragment keys again after a
+         write, where a stale fragment result would show *)
+      (2, map (fun format -> `Query (None, format, Rql.empty)) (oneofl [ `Json; `Xml ]));
+      (3, query None [ "name"; "count(vendor)" ]);
+      (3, query (Some "vendor") [ "vid"; "pid"; "price" ]);
+      (2, map (fun w -> `Write w) write_gen);
+    ]
+
+let print_step = function
+  | `Write w -> w
+  | `Query (level, format, q) ->
+    Printf.sprintf "GET level=%s format=%s %s"
+      (Option.value level ~default:"-")
+      (match format with `Json -> "json" | `Xml -> "xml")
+      (Rql.print q)
+
+let test_http_read_differential =
+  QCheck.Test.make ~count:100 ~name:"GET /views = recompute oracle, across writes"
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 8) read_step_gen)
+       ~print:(fun steps -> String.concat "\n" (List.map print_step steps)))
+    (fun steps ->
+      with_api @@ fun db mgr _hub api ->
+      List.for_all
+        (function
+          | `Write sql ->
+            (try ignore (Relkit.Sql.exec db sql) with Invalid_argument _ | Relkit.Sql.Error _ -> ());
+            true
+          | `Query (level, format, q) ->
+            let query =
+              String.concat "&"
+                (List.filter (( <> ) "")
+                   [ Rql.print q;
+                     (match level with Some l -> "level=" ^ l | None -> "");
+                     (match format with `Json -> "format=json" | `Xml -> "format=xml");
+                   ])
+            in
+            let r = request api ("/views/catalog?" ^ query) in
+            let status, body = oracle_body mgr ~level ~format ~query q in
+            if r.r_status <> status || r.r_body <> body then
+              QCheck.Test.fail_reportf "GET ?%s\nserved   %d %s\nexpected %d %s" query
+                r.r_status r.r_body status body
+            else true)
+        steps)
+
+(* A level with no relational translation (here a computed attribute) is
+   read through the reference evaluator and serves the same bodies. *)
+let test_http_query_unpushable_level () =
+  with_api @@ fun db mgr _hub api ->
+  Runtime.define_view mgr ~name:"priced"
+    {|<offers>{for $v in view("default")/vendor/row
+       return <vendor plus="{$v/price + 1}">{$v/*}</vendor>}</offers>|};
+  let check rql format =
+    let query =
+      String.concat "&" (List.filter (( <> ) "") [ rql; "format=" ^ format ])
+    in
+    let r = request api ("/views/priced?" ^ query) in
+    let format = if format = "xml" then `Xml else `Json in
+    let status, body =
+      oracle_body ~view:"priced" ~default:"vendor" mgr ~level:None ~format ~query
+        (Rql.parse rql)
+    in
+    Alcotest.(check int) (query ^ " status") status r.r_status;
+    Alcotest.(check string) query body r.r_body
+  in
+  check "" "json";
+  check "ge(price,130)&sort(-price)&limit(0,2)" "json";
+  check "eq(vid,Bestbuy)&select(pid)" "xml";
+  ignore (Relkit.Sql.exec db "UPDATE vendor SET price = 500.0 WHERE vid = 'Amazon'");
+  check "sort(-price,+vid)&limit(1,3)" "json";
+  check "eq(nosuch,1)" "json"
+
+(* With no rows at the default level, the response still names it. *)
+let test_http_query_empty_level () =
+  with_api @@ fun db _mgr _hub api ->
+  ignore (Relkit.Sql.exec db "DELETE FROM vendor");
+  let r = request api "/views/catalog" in
+  Alcotest.(check int) "200" 200 r.r_status;
+  let j = Tjson.parse_json r.r_body in
+  Alcotest.(check string) "level" "product"
+    (Tjson.as_str "level" (Tjson.member_exn "q" "level" j));
+  Alcotest.(check (float 0.0)) "total" 0.0
+    (Tjson.as_num "total" (Tjson.member_exn "q" "total" j));
+  let r = request api "/views/catalog?format=xml" in
+  Alcotest.(check bool) "xml level" true (contains r.r_body "level=\"product\" total=\"0\"")
 
 let test_http_sql () =
   with_api @@ fun _db _mgr _hub api ->
@@ -845,6 +1061,11 @@ let () =
           Alcotest.test_case "query rql" `Quick test_http_query_rql;
           Alcotest.test_case "query xml" `Quick test_http_query_xml;
           Alcotest.test_case "query errors" `Quick test_http_query_errors;
+          Alcotest.test_case "query empty default level" `Quick
+            test_http_query_empty_level;
+          Alcotest.test_case "query unpushable level" `Quick
+            test_http_query_unpushable_level;
+          QCheck_alcotest.to_alcotest test_http_read_differential;
           Alcotest.test_case "sql" `Quick test_http_sql;
           Alcotest.test_case "view update" `Quick test_http_view_update;
           Alcotest.test_case "sse gap" `Quick test_http_sse_gap;

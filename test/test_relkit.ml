@@ -185,6 +185,40 @@ let test_db_fk_violation () =
     (fun () ->
       Database.insert_rows db ~table:"vendor" [ [| v_str "Alice"; v_str "P9"; v_float 1.0 |] ])
 
+(* A rejected multi-row INSERT changes nothing: a batch whose second row
+   repeats a key already in the table must not leave its first row behind
+   (that row would reach neither the change hook nor any trigger). *)
+let test_db_failed_batch_is_atomic () =
+  let db = mk_db () in
+  let changes = ref 0 and fired = ref 0 in
+  Database.attach_durability db (fun _ -> incr changes);
+  Database.create_trigger db
+    { Database.trig_name = "t";
+      trig_table = "vendor";
+      trig_event = Database.Insert;
+      relevance = None;
+      sql_text = "(test)";
+      body = (fun _ -> incr fired);
+    };
+  let vendor = Database.get_table db "vendor" in
+  let rows0 = Table.row_count vendor and version0 = Table.version vendor in
+  let fresh = [| v_str "Newco"; v_str "P1"; v_float 1.0 |] in
+  let taken = [| v_str "Amazon"; v_str "P1"; v_float 2.0 |] in
+  Alcotest.check_raises "table duplicate"
+    (Invalid_argument "duplicate primary key on insert into \"vendor\"")
+    (fun () -> Database.insert_rows db ~table:"vendor" [ fresh; taken ]);
+  Alcotest.check_raises "batch duplicate reported first"
+    (Invalid_argument "duplicate primary key within inserted batch")
+    (fun () -> Database.insert_rows db ~table:"vendor" [ taken; fresh; fresh ]);
+  Alcotest.(check int) "row count unchanged" rows0 (Table.row_count vendor);
+  Alcotest.(check int) "version unchanged" version0 (Table.version vendor);
+  Alcotest.(check bool) "first row absent" true
+    (Table.find_pk vendor [ v_str "Newco"; v_str "P1" ] = None);
+  Alcotest.(check int) "no change record" 0 !changes;
+  Alcotest.(check int) "no trigger" 0 !fired;
+  Database.insert_rows db ~table:"vendor" [ fresh ];
+  Alcotest.(check int) "the valid row still inserts" (rows0 + 1) (Table.row_count vendor)
+
 let test_db_update_fires_trigger_with_transitions () =
   let db = mk_db () in
   let seen = ref None in
@@ -693,6 +727,7 @@ let () =
           Alcotest.test_case "insert/delete events" `Quick test_db_insert_delete_events;
           Alcotest.test_case "recursion cap" `Quick test_db_trigger_recursion_cap;
           Alcotest.test_case "load skips triggers" `Quick test_db_load_rows_skips_triggers;
+          Alcotest.test_case "failed batch is atomic" `Quick test_db_failed_batch_is_atomic;
         ] );
       ( "ra_eval",
         [ Alcotest.test_case "scan/select/project" `Quick test_ra_scan_select_project;
