@@ -1,6 +1,7 @@
 module Op = Xqgm.Op
 module Expr = Xqgm.Expr
 module Keys = Xqgm.Keys
+module Lineage = Xqgm.Lineage
 
 type key = (string * string) list
 
@@ -31,7 +32,23 @@ let rename_key ak (key : key) renaming =
     in
     (ak', List.map (fun (c', _, akc') -> (c', akc')) new_key)
 
-let rec create ~schema_of ~table ~dt (op : Op.t) : (Op.t * key) option =
+(* The [dt] transition rows of [table] with no counterpart on the other
+   side agreeing on the primary key and the [observed] columns: of an
+   UPDATE, the rows that can change a subgraph reading only [observed];
+   inserted and deleted rows always count.  Projected to the affected-key
+   columns of the scan's [key]. *)
+let changed_rows ~schema_of ~table ~dt ~observed key =
+  let other = if dt = Op.Delta then Op.Nabla else Op.Delta in
+  let cmp = List.sort_uniq compare ((schema_of table).Relkit.Schema.primary_key @ observed) in
+  let side binding pfx = Op.table ~binding table (List.map (fun c -> (c, pfx ^ c)) cmp) in
+  let same = Expr.and_ (List.map (fun c -> Expr.eq (Expr.Col ("chg$" ^ c)) (Expr.Col ("cmp$" ^ c))) cmp) in
+  let changed = Op.join ~kind:Op.Left_anti ~pred:same (side dt "chg$") (side other "cmp$") in
+  Op.project ~defs:(List.map (fun (src, out) -> (ak_col out, Expr.Col ("chg$" ^ src))) key) changed
+
+(* [only]: the subgraph reads only these columns of [table] (see
+   [changed_rows]). *)
+let rec create_ak ?only ~schema_of ~table ~dt (op : Op.t) : (Op.t * key) option =
+  let create = create_ak ?only in
   match op.Op.node with
   | Op.Table { table = t; binding; cols } ->
     if t = table && (binding = Op.Post || binding = Op.Pre) then begin
@@ -48,7 +65,11 @@ let rec create ~schema_of ~table ~dt (op : Op.t) : (Op.t * key) option =
                    (Printf.sprintf "scan of %S does not expose key column %S" t k)))
           pk
       in
-      let ak = Op.table ~binding:dt t (List.map (fun (src, out) -> (src, ak_col out)) key) in
+      let ak =
+        match only with
+        | None -> Op.table ~binding:dt t (List.map (fun (src, out) -> (src, ak_col out)) key)
+        | Some observed -> changed_rows ~schema_of ~table ~dt ~observed key
+      in
       Some (ak, List.map (fun (_, out) -> (out, ak_col out)) key)
     end
     else None
@@ -70,7 +91,16 @@ let rec create ~schema_of ~table ~dt (op : Op.t) : (Op.t * key) option =
       Some (rename_key ak key renaming))
   | Op.Join { kind; left; right; pred } -> (
     let l = create ~schema_of ~table ~dt left in
-    let r = create ~schema_of ~table ~dt right in
+    let r =
+      (* a padded right side that reads only some of the table's columns
+         (say a nested level's visibility, which counts rows) is unaffected
+         by updates confined to the others *)
+      let observed = Lineage.observed ~table right in
+      let all = Relkit.Schema.column_names (schema_of table) in
+      if kind = Op.Left_outer && not (List.for_all (fun c -> List.mem c observed) all) then
+        create_ak ~only:observed ~schema_of ~table ~dt right
+      else create ~schema_of ~table ~dt right
+    in
     match kind with
     | Op.Left_outer -> (
       (* The padded side's columns are NULL for outer rows that lost all
@@ -278,3 +308,5 @@ let rec create ~schema_of ~table ~dt (op : Op.t) : (Op.t * key) option =
       let cols = List.map ak_col out_key in
       let u = Op.union ~cols (List.map (fun p -> (p, cols)) parts) in
       Some (u, List.map (fun k -> (k, ak_col k)) out_key))
+
+let create ~schema_of ~table ~dt op = create_ak ~schema_of ~table ~dt op

@@ -259,37 +259,48 @@ let frag_keys (t : t) =
 
 (* --- GROUPED-AGG: invert aggregates over OLD-OF (§5.2) --- *)
 
-let rec plan_scans_old table = function
-  | Ra.Scan (Ra.Old_of t, _) -> t = table
-  | Ra.Scan (_, _) | Ra.Values _ -> false
-  | Ra.Select (_, i)
-  | Ra.Project (_, i)
-  | Ra.Group_by (_, _, i)
-  | Ra.Distinct i
-  | Ra.Order_by (_, i)
-  | Ra.Shared (_, i) ->
-    plan_scans_old table i
-  | Ra.Join (_, _, l, r) -> plan_scans_old table l || plan_scans_old table r
-  | Ra.Union { inputs; _ } -> List.exists (plan_scans_old table) inputs
+(* The rewrites below visit a [Shared] body once per pass, not once per
+   reference: a plan with affected-key restrictions threaded through nested
+   levels references its shared key relations from every scan they reach,
+   so walking them per reference is exponential in the nesting. *)
 
-let rec subst_old table replacement = function
-  | Ra.Scan (Ra.Old_of t, renames) when t = table -> Ra.Scan (replacement t, renames)
-  | Ra.Scan (s, renames) -> Ra.Scan (s, renames)
-  | Ra.Values (c, r) -> Ra.Values (c, r)
-  | Ra.Select (p, i) -> Ra.Select (p, subst_old table replacement i)
-  | Ra.Project (d, i) -> Ra.Project (d, subst_old table replacement i)
-  | Ra.Group_by (k, a, i) -> Ra.Group_by (k, a, subst_old table replacement i)
-  | Ra.Distinct i -> Ra.Distinct (subst_old table replacement i)
-  | Ra.Order_by (k, i) -> Ra.Order_by (k, subst_old table replacement i)
-  | Ra.Shared (id, i) ->
-    (* keep the id (and thus the per-firing memoization) when nothing below
-       actually changed; rebuild with a fresh id otherwise *)
-    let i' = subst_old table replacement i in
-    if i' = i then Ra.Shared (id, i) else Ra.shared i'
-  | Ra.Join (k, p, l, r) ->
-    Ra.Join (k, p, subst_old table replacement l, subst_old table replacement r)
-  | Ra.Union { all; inputs } ->
-    Ra.Union { all; inputs = List.map (subst_old table replacement) inputs }
+(* Number of OLD-OF [table] scans below a plan, counting every reference. *)
+let old_scan_count table plan =
+  let memo = Hashtbl.create 8 in
+  let rec go = function
+    | Ra.Scan (Ra.Old_of t, _) -> if t = table then 1 else 0
+    | Ra.Scan (_, _) | Ra.Values _ -> 0
+    | Ra.Shared (id, i) -> (
+      match Hashtbl.find_opt memo id with
+      | Some n -> n
+      | None ->
+        let n = go i in
+        Hashtbl.add memo id n;
+        n)
+    | Ra.Select (_, i) | Ra.Project (_, i) | Ra.Group_by (_, _, i) | Ra.Distinct i | Ra.Order_by (_, i) ->
+      go i
+    | Ra.Join (_, _, l, r) -> go l + go r
+    | Ra.Union { inputs; _ } -> List.fold_left (fun acc i -> acc + go i) 0 inputs
+  in
+  go plan
+
+(* [plan] with OLD-OF [table] scans read from [replacement table] instead;
+   a [Shared] body keeps its id (and its per-firing memoization) when
+   nothing below changes and gets one fresh id otherwise. *)
+let subst_old table replacement plan =
+  let memo = Hashtbl.create 8 in
+  let rec go = function
+    | Ra.Scan (Ra.Old_of t, renames) when t = table -> Ra.Scan (replacement t, renames)
+    | Ra.Shared (id, i) as p -> (
+      match Hashtbl.find_opt memo id with
+      | Some r -> r
+      | None ->
+        let r = if old_scan_count table i = 0 then p else Ra.shared (go i) in
+        Hashtbl.add memo id r;
+        r)
+    | p -> Ra.map_inputs go p
+  in
+  go plan
 
 let exists_col = "old_exists$"
 
@@ -378,43 +389,29 @@ let invert_group_by table keys aggs input =
     Some dropped
   end
 
-(* Number of OLD-OF scans below a plan: the contribution algebra of
-   invert_group_by is linear in one occurrence of the pre-update table, so
-   inversion only applies when there is exactly one. *)
-let rec old_scan_count table = function
-  | Ra.Scan (Ra.Old_of t, _) -> if t = table then 1 else 0
-  | Ra.Scan (_, _) | Ra.Values _ -> 0
-  | Ra.Select (_, i)
-  | Ra.Project (_, i)
-  | Ra.Group_by (_, _, i)
-  | Ra.Distinct i
-  | Ra.Order_by (_, i)
-  | Ra.Shared (_, i) ->
-    old_scan_count table i
-  | Ra.Join (_, _, l, r) -> old_scan_count table l + old_scan_count table r
-  | Ra.Union { inputs; _ } ->
-    List.fold_left (fun acc i -> acc + old_scan_count table i) 0 inputs
-
 (* Only the top-most qualifying GroupBy on each path is rewritten: its three
    substituted branches (post / deleted / inserted) already account for every
    OLD-OF access below it, so recursing into them would only multiply the
-   plan size (3^depth for nested groupings). *)
-let rec invert_plan table = function
-  | Ra.Group_by (keys, aggs, input)
-    when plan_scans_old table input && old_scan_count table input = 1 -> (
-    match invert_group_by table keys aggs input with
-    | Some rewritten -> rewritten
-    | None -> Ra.Group_by (keys, aggs, invert_plan table input))
-  | Ra.Scan (s, r) -> Ra.Scan (s, r)
-  | Ra.Values (c, r) -> Ra.Values (c, r)
-  | Ra.Select (p, i) -> Ra.Select (p, invert_plan table i)
-  | Ra.Project (d, i) -> Ra.Project (d, invert_plan table i)
-  | Ra.Group_by (k, a, i) -> Ra.Group_by (k, a, invert_plan table i)
-  | Ra.Distinct i -> Ra.Distinct (invert_plan table i)
-  | Ra.Order_by (k, i) -> Ra.Order_by (k, invert_plan table i)
-  | Ra.Shared (id, i) -> Ra.Shared (id, invert_plan table i)
-  | Ra.Join (k, p, l, r) -> Ra.Join (k, p, invert_plan table l, invert_plan table r)
-  | Ra.Union { all; inputs } -> Ra.Union { all; inputs = List.map (invert_plan table) inputs }
+   plan size (3^depth for nested groupings).  The contribution algebra of
+   [invert_group_by] is linear in one occurrence of the pre-update table, so
+   a GroupBy qualifies only with exactly one OLD-OF scan below it. *)
+let invert_plan table plan =
+  let memo = Hashtbl.create 8 in
+  let rec go = function
+    | Ra.Group_by (keys, aggs, input) as p when old_scan_count table input = 1 -> (
+      match invert_group_by table keys aggs input with
+      | Some rewritten -> rewritten
+      | None -> Ra.map_inputs go p)
+    | Ra.Shared (id, _) as p -> (
+      match Hashtbl.find_opt memo id with
+      | Some r -> r
+      | None ->
+        let r = Ra.map_inputs go p in
+        Hashtbl.add memo id r;
+        r)
+    | p -> Ra.map_inputs go p
+  in
+  go plan
 
 let rec invert_template table = function
   | T_atom a -> T_atom a

@@ -92,16 +92,24 @@ type exec =
       (* why the plan is not pushed down (the graph is not pushable, or its
          plan failed to compile): every firing evaluates [tp_graph] *)
 
+(* What a (group, table) delta query compiles to. *)
+type compiled_plan = {
+  cp_exec : exec;
+  cp_frag_keys : string list;
+      (* the delta query's fragment link-key signature, static per plan;
+         audit records stamp it so [why] can name the fragments involved *)
+  cp_sql : string Lazy.t;  (* rendering deep plans is expensive: on demand *)
+}
+
 type table_plan = {
   tp_table : string;
-  tp_exec : exec;
+  tp_plan : compiled_plan Lazy.t;
+      (* shredded, optimized and compiled on the first statement on
+         [tp_table] that reaches it (or on EXPLAIN): a table the workload
+         never writes costs no planning *)
   tp_graph : Op.t;  (* the affected-node graph, for middleware / display *)
   tp_rel_events : Database.event list;
   tp_relevant_cols : string list;  (* UPDATE transition pruning *)
-  tp_frag_keys : string list;
-      (* the delta query's fragment link-key signature, static per plan;
-         audit records stamp it so [why] can name the fragments involved *)
-  tp_sql : string Lazy.t;  (* rendering deep plans is expensive: on demand *)
 }
 
 and member = {
@@ -210,9 +218,12 @@ and template_plans = {
   tmpl_key : string list;
   tmpl_node_compare : bool;
   tmpl_plans :
-    (string (* table *) * Pushdown.t option * Op.t * Database.event list * string list)
+    (string (* table *) * Pushdown.t option Lazy.t * Op.t * Database.event list * string list)
     list;
 }
+
+let tp_exec tp = (Lazy.force tp.tp_plan).cp_exec
+let tp_frag_keys tp = (Lazy.force tp.tp_plan).cp_frag_keys
 
 let create ?(strategy = Grouped_agg) ?(tuning = default_tuning) db =
   (* Apply window-geometry overrides before any traffic; leave the window
@@ -360,7 +371,8 @@ let generated_sql t =
   List.concat_map
     (fun g ->
       List.map
-        (fun tp -> (Printf.sprintf "group%d/%s" g.g_id tp.tp_table, Lazy.force tp.tp_sql))
+        (fun tp ->
+          (Printf.sprintf "group%d/%s" g.g_id tp.tp_table, Lazy.force (Lazy.force tp.tp_plan).cp_sql))
         g.g_plans)
     (List.rev (groups_by_id t))
 
@@ -840,7 +852,7 @@ let install_sql_triggers t group =
             @ if !(group.g_needs_new) || group.g_node_compare then [ "new_node" ] else []
           in
           let rel =
-            match tp.tp_exec with
+            match tp_exec tp with
             | Compiled comp -> Pushdown.render_compiled ~cols comp ctx
             | Middleware _ ->
               let full = Eval.eval ctx tp.tp_graph in
@@ -869,10 +881,10 @@ let install_sql_triggers t group =
                    ~strategy:group.g_strategy ~group_id:group.g_id
                    ~view:group.g_view ~plan_table:tp.tp_table
                    ~plan_mode:
-                     (match tp.tp_exec with
+                     (match tp_exec tp with
                      | Compiled _ -> "compiled"
                      | Middleware _ -> "middleware")
-                   ~frag_keys:tp.tp_frag_keys ~cond_mode:group.g_cond_mode
+                   ~frag_keys:(tp_frag_keys tp) ~cond_mode:group.g_cond_mode
                    ~trans:
                      (Option.value ~default:([], [])
                         (List.assoc_opt tp.tp_table ctx.Ra_eval.trans)))
@@ -961,20 +973,23 @@ let install_sql_triggers t group =
 
 let consts_template = "trigconsts$template"
 
-let rec rename_base_table ~from ~to_ (plan : Ra.t) : Ra.t =
-  let go = rename_base_table ~from ~to_ in
-  match plan with
-  | Ra.Scan (Ra.Base tname, renames) when tname = from -> Ra.Scan (Ra.Base to_, renames)
-  | Ra.Scan (s, r) -> Ra.Scan (s, r)
-  | Ra.Values (c, r) -> Ra.Values (c, r)
-  | Ra.Select (p, i) -> Ra.Select (p, go i)
-  | Ra.Project (d, i) -> Ra.Project (d, go i)
-  | Ra.Group_by (k, a, i) -> Ra.Group_by (k, a, go i)
-  | Ra.Distinct i -> Ra.Distinct (go i)
-  | Ra.Order_by (k, i) -> Ra.Order_by (k, go i)
-  | Ra.Shared (id, i) -> Ra.Shared (id, go i)
-  | Ra.Join (k, p, l, r) -> Ra.Join (k, p, go l, go r)
-  | Ra.Union { all; inputs } -> Ra.Union { all; inputs = List.map go inputs }
+(* Renames [from] to [to_] in a plan's base scans; a [Shared] body is
+   renamed once and stays shared by all its references (plans with affected
+   keys threaded through nested levels reference them from every scan). *)
+let rename_base_table ~from ~to_ (plan : Ra.t) : Ra.t =
+  let memo = Hashtbl.create 8 in
+  let rec go = function
+    | Ra.Scan (Ra.Base tname, renames) when tname = from -> Ra.Scan (Ra.Base to_, renames)
+    | Ra.Shared (id, _) as p -> (
+      match Hashtbl.find_opt memo id with
+      | Some r -> r
+      | None ->
+        let r = Ra.map_inputs go p in
+        Hashtbl.add memo id r;
+        r)
+    | p -> Ra.map_inputs go p
+  in
+  go plan
 
 let rec rename_in_template ~from ~to_ (tpl : Pushdown.template) =
   match tpl with
@@ -996,17 +1011,28 @@ let rename_shred ~from ~to_ (s : Pushdown.t) =
       List.map (fun (c, tpl) -> (c, rename_in_template ~from ~to_ tpl)) s.Pushdown.xml;
   }
 
-let rec rename_op_table ~from ~to_ (op : Op.t) : Op.t =
-  let go = rename_op_table ~from ~to_ in
-  match op.Op.node with
-  | Op.Table { table; binding; cols } ->
-    if table = from then Op.table ~binding to_ cols else op
-  | Op.Select { input; pred } -> Op.select ~pred (go input)
-  | Op.Project { input; defs } -> Op.project ~defs (go input)
-  | Op.Join { kind; left; right; pred } -> Op.join ~kind ~pred (go left) (go right)
-  | Op.Group_by { input; keys; aggs; order } -> Op.group_by ~keys ~aggs ~order (go input)
-  | Op.Union { cols; inputs } ->
-    Op.union ~cols (List.map (fun (i, m) -> (go i, m)) inputs)
+(* Each operator of the (DAG-shaped) graph is rebuilt once. *)
+let rename_op_table ~from ~to_ (op : Op.t) : Op.t =
+  let memo = Hashtbl.create 16 in
+  let rec go (op : Op.t) =
+    match Hashtbl.find_opt memo op.Op.id with
+    | Some r -> r
+    | None ->
+      let r =
+        match op.Op.node with
+        | Op.Table { table; binding; cols } ->
+          if table = from then Op.table ~binding to_ cols else op
+        | Op.Select { input; pred } -> Op.select ~pred (go input)
+        | Op.Project { input; defs } -> Op.project ~defs (go input)
+        | Op.Join { kind; left; right; pred } -> Op.join ~kind ~pred (go left) (go right)
+        | Op.Group_by { input; keys; aggs; order } -> Op.group_by ~keys ~aggs ~order (go input)
+        | Op.Union { cols; inputs } ->
+          Op.union ~cols (List.map (fun (i, m) -> (go i, m)) inputs)
+      in
+      Hashtbl.add memo op.Op.id r;
+      r
+  in
+  go op
 
 let signature ~view_name ~path_text ~event ~cond_shape ~n_consts ~strat =
   Printf.sprintf "%s|%s|%s|%s|%d|%s" view_name path_text
@@ -1055,7 +1081,8 @@ let build_template t ~strat ~monitored ~event ~cond_rel ~nested ~n_consts =
         | None -> None
         | Some an ->
           let shred =
-            match Pushdown.shred an.Angraph.graph with
+            lazy
+            (match Pushdown.shred an.Angraph.graph with
             | shred ->
               (* Pass order matters: (1) restrict by affected keys — before
                  the GROUPED-AGG rewrite introduces transition scans into the
@@ -1078,7 +1105,7 @@ let build_template t ~strat ~monitored ~event ~cond_rel ~nested ~n_consts =
                 { shred with
                   Pushdown.plan = Ra_opt.share_common_subplans shred.Pushdown.plan;
                 }
-            | exception Pushdown.Not_pushable _ -> None
+            | exception Pushdown.Not_pushable _ -> None)
           in
           let rel_events =
             List.filter_map
@@ -1094,39 +1121,45 @@ let build_template t ~strat ~monitored ~event ~cond_rel ~nested ~n_consts =
   in
   { tmpl_key = monitored.Compose.m_key; tmpl_node_compare = !node_compare; tmpl_plans = plans }
 
-(* Instantiation compiles each pushed-down plan once against the database
-   (the group's constants table and its indexes already exist at this
-   point, so probe strategies can resolve against them).  A compilation
-   failure degrades to middleware evaluation, never to an error. *)
+(* Instantiation compiles each pushed-down plan once against the database,
+   when it is first needed (the group's constants table and its indexes
+   exist by then, so probe strategies can resolve against them).  A
+   compilation failure degrades to middleware evaluation, never to an
+   error. *)
 let instantiate_template t tmpl ~consts_table =
   List.map
     (fun (table, shred, graph, rel_events, relevant) ->
       let graph = rename_op_table ~from:consts_template ~to_:consts_table graph in
       let middleware why =
-        ( Middleware why,
-          lazy
-            (Printf.sprintf "-- middleware evaluation (%s):\n%s" why
-               (Xqgm.Print.to_string graph)),
-          [] )
+        { cp_exec = Middleware why;
+          cp_sql =
+            lazy
+              (Printf.sprintf "-- middleware evaluation (%s):\n%s" why
+                 (Xqgm.Print.to_string graph));
+          cp_frag_keys = [];
+        }
       in
-      let exec, sql, frag_keys =
-        match shred with
-        | None -> middleware "graph not pushable"
-        | Some s -> (
-          let s = rename_shred ~from:consts_template ~to_:consts_table s in
-          match
-            Pushdown.compile ~counters:t.ra_counters ~frag_memo:t.frag_memo t.db s
-          with
-          | comp -> (Compiled comp, lazy (Pushdown.to_sql s), Pushdown.frag_keys s)
-          | exception _ -> middleware "compilation failed")
+      let plan =
+        lazy
+          (match Lazy.force shred with
+          | None -> middleware "graph not pushable"
+          | Some s -> (
+            let s = rename_shred ~from:consts_template ~to_:consts_table s in
+            match
+              Pushdown.compile ~counters:t.ra_counters ~frag_memo:t.frag_memo t.db s
+            with
+            | comp ->
+              { cp_exec = Compiled comp;
+                cp_sql = lazy (Pushdown.to_sql s);
+                cp_frag_keys = Pushdown.frag_keys s;
+              }
+            | exception _ -> middleware "compilation failed"))
       in
       { tp_table = table;
-        tp_exec = exec;
+        tp_plan = plan;
         tp_graph = graph;
         tp_rel_events = rel_events;
         tp_relevant_cols = relevant;
-        tp_frag_keys = frag_keys;
-        tp_sql = sql;
       })
     tmpl.tmpl_plans
 
@@ -1197,7 +1230,15 @@ let install_materialized t ~gid (tr : Trigger.t) view_name m =
       t.snapshots <- (key, s) :: t.snapshots;
       s
   in
-  let events = Event_pushdown.source_events m.Compose.m_op tr.Trigger.event in
+  (* every statement that can change the level refreshes the snapshot, not
+     only those that can cause this trigger's event: an INSERT trigger's
+     before-image must already hold a node an earlier statement updated *)
+  let events =
+    List.sort_uniq compare
+      (List.concat_map
+         (Event_pushdown.source_events m.Compose.m_op)
+         [ Database.Insert; Database.Update; Database.Delete ])
+  in
   (* the trigger as its audit actions name it: the body evaluates the
      condition itself, so the audit reports it as the fallback *)
   let audited =
@@ -2004,7 +2045,7 @@ let group_trigger_names g =
 let group_size g = Hashtbl.fold (fun _ ms n -> n + List.length ms) g.g_members 0
 
 let plan_mode tp =
-  match tp.tp_exec with
+  match tp_exec tp with
   | Compiled _ -> "compiled"
   | Middleware why -> "middleware (" ^ why ^ ")"
 
@@ -2042,7 +2083,7 @@ let explain t =
               (Printf.sprintf "   relevance: %s\n"
                  (relevance_summary ~table:tp.tp_table
                     g.g_monitored.Compose.m_op));
-            match tp.tp_exec with
+            match tp_exec tp with
             | Compiled comp -> Buffer.add_string buf (Pushdown.explain_compiled comp)
             | Middleware _ -> ())
           g.g_plans)
@@ -2062,7 +2103,7 @@ let explain_json t =
         (List.map
            (fun tp ->
              let plan =
-               match tp.tp_exec with
+               match tp_exec tp with
                | Compiled comp -> Pushdown.explain_compiled_json comp
                | Middleware _ -> "null"
              in

@@ -154,7 +154,9 @@ val scan_rows_total : t -> int
 val scan_rows_report : t -> (string * int) list
 
 (** Materializes the nodes a trigger path selects (used by
-    {!Maintain} for initial population, and handy for debugging).
+    {!Maintain} for initial population, and handy for debugging): the
+    path's nodes in the document, nested nodes only while their ancestors'
+    predicates hold.
     @raise Error on unknown views or non-composable paths. *)
 val view_nodes : t -> path:string -> Xmlkit.Xml.t list
 
@@ -174,10 +176,13 @@ type view_row = {
     @raise Error on unknown view or level. *)
 val view_level_fields : t -> view:string -> ?level:string -> unit -> string list
 
-(** One {!view_row} per element of [level], in document order, evaluated
-    through the reference XQGM evaluator against current table contents.
+(** One {!view_row} per element of [level] in the document (a nested
+    element only while its ancestors' predicates hold), evaluated through
+    the reference XQGM evaluator against current table contents; rows come
+    in the level key's order, which is document order at the top level.
     This is the reference read: tests and trigbench's [front-door] check
-    compare {!read_level} (what [GET /views/:name] serves) against it.
+    compare {!read_level} (what [GET /views/:name] serves) against it, and
+    the tests check it against the materialized document.
     @raise Error on unknown view or level. *)
 val view_rows : t -> view:string -> ?level:string -> unit -> view_row list
 

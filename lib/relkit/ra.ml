@@ -58,6 +58,17 @@ let next_shared_id =
 
 let shared plan = Shared (next_shared_id (), plan)
 
+let map_inputs f = function
+  | (Scan _ | Values _) as p -> p
+  | Select (e, i) -> Select (e, f i)
+  | Project (d, i) -> Project (d, f i)
+  | Group_by (k, a, i) -> Group_by (k, a, f i)
+  | Distinct i -> Distinct (f i)
+  | Order_by (k, i) -> Order_by (k, f i)
+  | Shared (id, i) -> Shared (id, f i)
+  | Join (k, p, l, r) -> Join (k, p, f l, f r)
+  | Union { all; inputs } -> Union { all; inputs = List.map f inputs }
+
 let check_distinct what cols =
   let tbl = Hashtbl.create 8 in
   List.iter

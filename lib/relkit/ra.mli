@@ -97,6 +97,10 @@ val eq_cols : (string * string) list -> expr
 (** Wraps a plan as a shared subplan with a fresh id. *)
 val shared : t -> t
 
+(** [map_inputs f plan] is [plan] with [f] applied to each direct input
+    ([Shared] keeps its id). *)
+val map_inputs : (t -> t) -> t -> t
+
 val pp_expr : Format.formatter -> expr -> unit
 val pp : Format.formatter -> t -> unit
 

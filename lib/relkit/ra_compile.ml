@@ -149,6 +149,7 @@ type env = {
   db : Database.t;
   counters : counters;
   shared : (int, node) Hashtbl.t;  (* compile-time memo for Shared subplans *)
+  deps : (int, string list option) Hashtbl.t;  (* [static_deps] of Shared subplans *)
 }
 
 (* --- static-dependency analysis for build-side caching ---
@@ -158,7 +159,7 @@ type env = {
    counters stays valid.  [None]: the subplan reads per-firing state
    (transition tables, Old_of, Rel bindings) and must be re-evaluated. *)
 
-let rec static_deps (plan : Ra.t) : string list option =
+let rec deps_in memo (plan : Ra.t) : string list option =
   let both a b =
     match a, b with Some x, Some y -> Some (x @ y) | _ -> None
   in
@@ -166,12 +167,22 @@ let rec static_deps (plan : Ra.t) : string list option =
   | Ra.Scan (Ra.Base t, _) -> Some [ t ]
   | Ra.Scan ((Ra.Delta _ | Ra.Nabla _ | Ra.Old_of _ | Ra.Rel _), _) -> None
   | Ra.Values _ -> Some []
+  | Ra.Shared (id, i) -> (
+    (* a shared subplan is referenced from many joins; walk it once *)
+    match Hashtbl.find_opt memo id with
+    | Some d -> d
+    | None ->
+      let d = deps_in memo i in
+      Hashtbl.add memo id d;
+      d)
   | Ra.Select (_, i) | Ra.Project (_, i) | Ra.Distinct i
-  | Ra.Order_by (_, i) | Ra.Group_by (_, _, i) | Ra.Shared (_, i) ->
-    static_deps i
-  | Ra.Join (_, _, l, r) -> both (static_deps l) (static_deps r)
+  | Ra.Order_by (_, i) | Ra.Group_by (_, _, i) ->
+    deps_in memo i
+  | Ra.Join (_, _, l, r) -> both (deps_in memo l) (deps_in memo r)
   | Ra.Union { inputs; _ } ->
-    List.fold_left (fun acc i -> both acc (static_deps i)) (Some []) inputs
+    List.fold_left (fun acc i -> both acc (deps_in memo i)) (Some []) inputs
+
+let static_deps plan = deps_in (Hashtbl.create 8) plan
 
 (* --- sources --- *)
 
@@ -732,7 +743,7 @@ and compile_hash_join env kind ~equi ~residual left_plan left_n right_plan =
        traffic is recorded both globally (manager counters) and on the join
        node's annotation [a], for EXPLAIN. *)
     let cached_build a plan n slots =
-      match static_deps plan with
+      match deps_in env.deps plan with
       | None -> fun ctx -> build (n.n_run ctx) slots
       | Some names ->
         let tbls =
@@ -762,7 +773,7 @@ and compile_hash_join env kind ~equi ~residual left_plan left_n right_plan =
     | Ra.Inner | Ra.Left_outer | Ra.Left_anti ->
       let a =
         make_annot
-          (label ~build_side:"right" ~cacheable:(static_deps right_plan <> None))
+          (label ~build_side:"right" ~cacheable:(deps_in env.deps right_plan <> None))
           children
       in
       let get_build = cached_build a right_plan right_n r_slots in
@@ -812,7 +823,7 @@ and compile_hash_join env kind ~equi ~residual left_plan left_n right_plan =
       (* Build on the left instead. *)
       let a =
         make_annot
-          (label ~build_side:"left" ~cacheable:(static_deps left_plan <> None))
+          (label ~build_side:"left" ~cacheable:(deps_in env.deps left_plan <> None))
           children
       in
       let get_build = cached_build a left_plan left_n l_slots in
@@ -878,7 +889,7 @@ let compile ?counters db plan =
   let counters =
     match counters with Some c -> c | None -> create_counters ()
   in
-  let env = { db; counters; shared = Hashtbl.create 8 } in
+  let env = { db; counters; shared = Hashtbl.create 8; deps = Hashtbl.create 8 } in
   let n = compile_node env plan in
   counters.plans_compiled <- counters.plans_compiled + 1;
   { cols = n.n_cols;

@@ -240,17 +240,7 @@ let rec push_transition_joins plan =
       let l' = push_semijoin ~keys ~on:pairs l in
       Ra.Join (Ra.Inner, pred, l', keys)
     | _ -> Ra.Join (Ra.Inner, pred, l, r))
-  | Ra.Join (k, p, l, r) ->
-    Ra.Join (k, p, push_transition_joins l, push_transition_joins r)
-  | Ra.Scan _ | Ra.Values _ -> plan
-  | Ra.Select (p, i) -> Ra.Select (p, push_transition_joins i)
-  | Ra.Project (d, i) -> Ra.Project (d, push_transition_joins i)
-  | Ra.Group_by (k, a, i) -> Ra.Group_by (k, a, push_transition_joins i)
-  | Ra.Distinct i -> Ra.Distinct (push_transition_joins i)
-  | Ra.Order_by (k, i) -> Ra.Order_by (k, push_transition_joins i)
-  | Ra.Shared (id, i) -> Ra.Shared (id, push_transition_joins i)
-  | Ra.Union { all; inputs } ->
-    Ra.Union { all; inputs = List.map push_transition_joins inputs }
+  | _ -> Ra.map_inputs push_transition_joins plan
 
 (* Common-subplan sharing via bottom-up interning: every distinct subtree
    (modulo Shared ids) gets an integer id, so lookups never hash or compare

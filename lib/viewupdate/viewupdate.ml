@@ -674,9 +674,11 @@ let replace_changes db ~anchor lin (tree : Compile.view_tree)
 (* --- static side-effect analysis --- *)
 
 (* The Project definition that constructs this level's elements — the one
-   graph site allowed to depend on the changed columns.  Returns the
-   Project's id, the constructor expression, and the Project's input (the
-   operator the constructor's column references are resolved against). *)
+   graph site allowed to depend on the changed columns; a nested level's
+   visibility join sits above it, with the constructor on its left.
+   Returns the Project's id, the constructor expression, and the Project's
+   input (the operator the constructor's column references are resolved
+   against). *)
 let constructor_memo : (int, (int * Expr.t * Op.t) option) Hashtbl.t = Hashtbl.create 16
 
 let constructor_def (tree : Compile.view_tree) =
@@ -687,6 +689,7 @@ let constructor_def (tree : Compile.view_tree) =
       | Some (Expr.Elem _ as e) -> Some (op.Op.id, e, input)
       | _ -> find input)
     | Op.Select { input; _ } -> find input
+    | Op.Join { left; _ } -> find left
     | _ -> None
   in
   let id = tree.Compile.op.Op.id in
@@ -810,17 +813,6 @@ let rec remove_first node ~target =
     in
     let children, found = go [] false children in
     (Xml.elem ~attrs tag children, found)
-
-(* Whether [target] occurs in [doc] (structural equality).  The level
-   relation can contain rows whose nodes never reach the document — an
-   ancestor level's predicate (a count() WHERE, say) can hide the whole
-   subtree — and such rows are not valid view-DML targets. *)
-let rec node_occurs doc ~target =
-  Xml.equal doc target
-  ||
-  match doc with
-  | Xml.Text _ -> false
-  | Xml.Element { children; _ } -> List.exists (fun c -> node_occurs c ~target) children
 
 (* [f] must equal [c] up to exactly one extra node somewhere below; returns
    the added node.  Any other difference — a second addition, a modified
@@ -1270,71 +1262,6 @@ let rec anchor_preserving ~table (plan : Ra.t) =
   | Ra.Join (Ra.Left_outer, _, l, _) -> anchor_preserving ~table l
   | _ -> false
 
-(* Column equivalences induced by the plan's join equalities and renames:
-   after [t2.parent = t1.id] the child-side correlation column carries the
-   ancestor's key, but lineage deliberately reports each side's own source
-   — the existence shortcut must cross that equality to reach the anchor's
-   primary key. *)
-let rec plan_equalities (plan : Ra.t) acc =
-  match plan with
-  | Ra.Scan _ | Ra.Values _ -> acc
-  | Ra.Select (_, p)
-  | Ra.Distinct p
-  | Ra.Order_by (_, p)
-  | Ra.Shared (_, p)
-  | Ra.Group_by (_, _, p) ->
-    plan_equalities p acc
-  | Ra.Project (defs, p) ->
-    let acc =
-      List.fold_left
-        (fun acc (out, e) ->
-          match e with Ra.Col src when src <> out -> (out, src) :: acc | _ -> acc)
-        acc defs
-    in
-    plan_equalities p acc
-  | Ra.Join (_, pred, l, r) ->
-    let rec eqs e acc =
-      match e with
-      | Ra.Binop (Ra.And, a, b) -> eqs a (eqs b acc)
-      | Ra.Binop (Ra.Eq, Ra.Col a, Ra.Col b) -> (a, b) :: acc
-      | _ -> acc
-    in
-    plan_equalities l (plan_equalities r (eqs pred acc))
-  | Ra.Union { inputs; _ } ->
-    List.fold_left (fun acc p -> plan_equalities p acc) acc inputs
-
-let equalities_memo : (int, (string * string) list) Hashtbl.t = Hashtbl.create 16
-
-let level_equalities (tree : Compile.view_tree) =
-  let id = tree.Compile.op.Op.id in
-  match Hashtbl.find_opt equalities_memo id with
-  | Some e -> e
-  | None ->
-    let e =
-      match shred_of tree.Compile.op with
-      | None -> []
-      | Some sh -> plan_equalities sh.Pushdown.plan []
-    in
-    Hashtbl.add equalities_memo id e;
-    e
-
-let equiv_class eqs c =
-  let rec go frontier seen =
-    match frontier with
-    | [] -> List.rev seen
-    | x :: rest ->
-      if List.mem x seen then go rest seen
-      else
-        let nbrs =
-          List.filter_map
-            (fun (a, b) ->
-              if a = x then Some b else if b = x then Some a else None)
-            eqs
-        in
-        go (nbrs @ rest) (x :: seen)
-  in
-  go [ c ] []
-
 (* Does the level relation trivially contain the rows of its anchor table
    (see {!anchor_preserving})?  Memoized per level op. *)
 let filter_free_memo : (int, bool) Hashtbl.t = Hashtbl.create 16
@@ -1351,102 +1278,6 @@ let level_filter_free (tree : Compile.view_tree) ~table =
     in
     Hashtbl.add filter_free_memo id b;
     b
-
-(* Primary-key shortcut for filter-free ancestors: when the ancestor level
-   keeps every row of its anchor table, its node for [corr] is visible iff
-   the anchor row exists — one hashtable lookup instead of running the
-   compiled probe (which for grouped ancestors re-aggregates the whole
-   subtree per statement).  [None] = not applicable here, use the probe;
-   [Some None] = no such row; [Some (Some corr')] = visible, with the
-   ancestor's own correlation values for the next link of the chain. *)
-let fast_ancestor_visible db (a : Compile.view_tree) (corr : (string * Value.t) list) =
-  match anchor_of_level db a with
-  | Unanchored _ -> None
-  | Anchored { table; schema; _ } ->
-    if not (level_filter_free a ~table) then None
-    else
-      let lin = lin_of a.Compile.op in
-      let eqs = level_equalities a in
-      let base_of c =
-        List.find_map
-          (fun c' ->
-            match lineage_base lin c' with
-            | Some (t, bc) when t = table -> Some bc
-            | _ -> None)
-          (equiv_class eqs c)
-      in
-      let base_kv =
-        List.filter_map
-          (fun (c, v) -> Option.map (fun bc -> (bc, v)) (base_of c))
-          corr
-      in
-      if
-        not
-          (List.for_all
-             (fun pk -> List.mem_assoc pk base_kv)
-             schema.Schema.primary_key)
-      then None
-      else
-        let pk = List.map (fun c -> List.assoc c base_kv) schema.Schema.primary_key in
-        (match Table.find_pk (Database.get_table db table) pk with
-        | None -> Some None
-        | Some row ->
-          let corr' =
-            List.filter_map
-              (fun c ->
-                Option.map
-                  (fun bc -> (c, row.(Schema.col_index schema bc)))
-                  (base_of c))
-              a.Compile.corr
-          in
-          if List.length corr' <> List.length a.Compile.corr then None
-          else Some (Some corr'))
-
-(* Ancestors of [tree] inside [view], nearest first (the document root
-   comes last); [tree] itself is excluded. *)
-let ancestor_chain (view : Compile.view) (tree : Compile.view_tree) =
-  let rec go t acc =
-    if t == tree then Some acc
-    else List.find_map (fun c -> go c (t :: acc)) t.Compile.children
-  in
-  Option.value ~default:[] (go view.Compile.tree [])
-
-(* Whether the ancestor chain above a level row renders — i.e. whether the
-   row's node actually reaches the document.  [corr] carries the child's
-   correlation values linking it to the nearest ancestor; each verified
-   ancestor hands its own correlation values up the chain.  An empty [corr]
-   means the level iterates at the top of the document, under the root
-   element, which always renders its single row.  [Some b] = decided;
-   [None] = undecidable here (callers fall back to a document check). *)
-let rec chain_visible db chain (corr : (string * Value.t) list) =
-  match (chain, corr) with
-  | [], _ -> Some true
-  | [ _root ], [] -> Some true
-  | _, [] -> None
-  | a :: rest, _ -> (
-    match fast_ancestor_visible db a corr with
-    | Some None -> Some false
-    | Some (Some corr') -> chain_visible db rest corr'
-    | None -> probe_ancestor db a rest corr)
-
-and probe_ancestor db a rest corr =
-  match level_probe db a corr with
-  | None -> None
-  | Some None -> Some false
-  | Some (Some (cols, row)) ->
-    let corr' =
-      List.filter_map
-        (fun c ->
-          let rec idx i =
-            if i >= Array.length cols then None
-            else if cols.(i) = c then Some (c, row.(i))
-            else idx (i + 1)
-          in
-          idx 0)
-        a.Compile.corr
-    in
-    if List.length corr' <> List.length a.Compile.corr then None
-    else chain_visible db rest corr'
 
 (* Renders the level element for one base row straight from the level's
    constructor expression, mirroring {!Eval}'s [Elem] semantics (attribute
@@ -1543,12 +1374,11 @@ let try_fast_replace db view tree pred xml text level_str =
         | _ :: _ :: _ -> None (* ambiguous: let the generic path build the diagnostic *)
         | [ row ] -> (
           (* the base row alone does not prove the node is in the view: the
-             level's own predicates and any ancestor level's (say a count()
-             WHERE on the parent) must hold.  Probe the level relation and
-             the ancestor chain through the pushdown engine — index probes,
-             not scans; anything undecidable falls back to the generic
-             path's document check (Exit). *)
-          (* the row is known to exist, so a filter-free level needs no probe *)
+             level's predicates, which carry its ancestors', must hold.
+             Probe the level relation through the pushdown engine — index
+             probes, not scans; an unshreddable level falls back to the
+             generic path (Exit).  The row is known to exist, so a
+             filter-free level needs no probe. *)
           (if not (level_filter_free tree ~table) then
              let probe_keys =
                List.map (fun (c, out) -> (out, row.(Schema.col_index schema c))) pk_slots
@@ -1559,20 +1389,6 @@ let try_fast_replace db view tree pred xml text level_str =
                fail "no node matches the path (a level predicate excludes the node \
                      from the view)"
              | Some (Some _) -> ());
-          let corr_vals =
-            List.map
-              (fun c ->
-                match lineage_base lin c with
-                | Some (t, bc) when t = table -> (c, row.(Schema.col_index schema bc))
-                | _ -> raise Exit)
-              tree.Compile.corr
-          in
-          (match chain_visible db (ancestor_chain view tree) corr_vals with
-          | None -> raise Exit
-          | Some false ->
-            fail "no node matches the path (an ancestor level's predicate hides the \
-                  node from the view)"
-          | Some true -> ());
           (* the replacement must pass the same shape check as the generic
              path, against the node this row currently renders *)
           let old_node =
@@ -1643,13 +1459,6 @@ let plan_replace db view strat path xml text =
         (List.length targets)
     | [ tgt ] ->
       check_replace_shape tree ~old_node:tgt.t_node xml;
-      (* the level relation can hold rows an ancestor level's predicate
-         hides from the document; those are not valid REPLACE targets *)
-      let cdoc = current_doc db view in
-      if not (node_occurs cdoc ~target:tgt.t_node) then
-        fail "no node matches %s: the targeted node is not in the view document (an \
-              ancestor level's predicate hides it)"
-          (Ast.path_to_string path);
       let lin = lin_of tree.Compile.op in
       let get_opt out = List.assoc_opt out tgt.t_row in
       let get out =
@@ -1706,11 +1515,9 @@ let plan_replace db view strat path xml text =
                     ("the targeted node disappears from the view after the update"
                     :: sites)
             in
-            let expected, found = replace_first cdoc ~target:tgt.t_node ~repl:new_node in
-            if not found then
-              (* unreachable after the occurrence check above; defensive *)
-              reject_side_effects ~stmt_text:text ~view ~level_str ~table
-                ~sides:("the targeted node is not visible in the view document" :: sites);
+            let expected, _ =
+              replace_first (current_doc db view) ~target:tgt.t_node ~repl:new_node
+            in
             if Xml.equal fdoc expected then
               [ how;
                 "verified dynamically: only the targeted node re-renders (dependent sites \
@@ -1742,15 +1549,6 @@ let plan_delete db view strat path where text =
   let level_str = level_path view tree in
   let targets = eval_targets db m ~where in
   if targets = [] then fail "no node matches %s" (Ast.path_to_string path);
-  (* the level relation can hold rows an ancestor level's predicate hides
-     from the document; path semantics are over the document, so those rows
-     are not DELETE targets *)
-  let cdoc = current_doc db view in
-  let targets = List.filter (fun tgt -> node_occurs cdoc ~target:tgt.t_node) targets in
-  if targets = [] then
-    fail "no node matches %s: the matching nodes are not in the view document (an \
-          ancestor level's predicate hides them)"
-      (Ast.path_to_string path);
   let lin = lin_of tree.Compile.op in
   let anchor_desc = ref "" in
   let verdicts = ref [] in
@@ -1777,14 +1575,8 @@ let plan_delete db view strat path where text =
   let fdoc = future_doc db view ops in
   let expected =
     List.fold_left
-      (fun doc tgt ->
-        let doc', found = remove_first doc ~target:tgt.t_node in
-        if not found then
-          (* unreachable after the occurrence filter above; defensive *)
-          reject_side_effects ~stmt_text:text ~view ~level_str ~table:!anchor_desc
-            ~sides:[ "a targeted node is not visible in the view document" ];
-        doc')
-      cdoc targets
+      (fun doc tgt -> fst (remove_first doc ~target:tgt.t_node))
+      (current_doc db view) targets
   in
   if not (Xml.equal fdoc expected) then
     reject_side_effects ~stmt_text:text ~view ~level_str ~table:!anchor_desc

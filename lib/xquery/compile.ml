@@ -25,6 +25,18 @@ type view = {
   tree : view_tree;
 }
 
+(* A level as compiled bottom-up, before its ancestors' predicates apply:
+   [lv_tree]'s op, like its children's, still holds every row of the level's
+   block.  [lv_rows] are the level's iteration rows that pass its own
+   [where], carrying only the aggregates that [where] reads and no element
+   constructor; [lv_subs] pairs each child level with its correlation
+   (child column, expression over [lv_rows]). *)
+type level = {
+  lv_tree : view_tree;
+  lv_rows : Op.t;
+  lv_subs : (level * (string * Expr.t) list) list;
+}
+
 (* --- environment --- *)
 
 type binding =
@@ -326,7 +338,7 @@ let rec desugar_exists (e : Ast.expr) : Ast.expr =
   | Ast.Cmp (op, a, b) -> Ast.Cmp (op, desugar_exists a, desugar_exists b)
   | e -> e
 
-let rec compile_level ?(keep = []) ~schema_of ~env ~cur (flwor : Ast.expr) : view_tree =
+let rec compile_level ?(keep = []) ~schema_of ~env ~cur (flwor : Ast.expr) : level =
   match flwor with
   | Ast.Flwor { clauses; where; return } ->
     let where = Option.map desugar_exists where in
@@ -341,9 +353,11 @@ let rec compile_level ?(keep = []) ~schema_of ~env ~cur (flwor : Ast.expr) : vie
       | Some c -> c
       | None -> fail "FLWOR without a for clause"
     in
-    (* 2. demands from where and return *)
-    let demands = ref [] in
+    (* 2. demands from where and return; the where's own demands decide
+       which aggregates the surviving rows carry *)
+    let demands = ref [] and where_demands = ref [] in
     Option.iter (collect_demands ~env demands) where;
+    Option.iter (collect_demands ~env where_demands) where;
     collect_demands ~env demands return;
     (* 3. instantiate each demanded sequence variable *)
     let inner_ok =
@@ -371,9 +385,10 @@ let rec compile_level ?(keep = []) ~schema_of ~env ~cur (flwor : Ast.expr) : vie
     in
     let aggs = ref [] in
     let outer_counts = ref [] in
+    let row_outer_counts = ref [] in
     let children = ref [] in
     let count_fields = ref [] in
-    let cur = ref cur in
+    let cur = ref cur and rows = ref cur in
     List.iter
       (fun d ->
         let sd =
@@ -382,40 +397,33 @@ let rec compile_level ?(keep = []) ~schema_of ~env ~cur (flwor : Ast.expr) : vie
           | _ -> assert false
         in
         let block = instantiate ~schema_of ~env sd in
-        (* extend the block with the nested FLWOR's body, if iterated *)
-        let block_op, item =
+        (* extend the block with the nested FLWOR's body, if iterated: a
+           plain iteration compiles the item in place, sharing this block
+           (and its aggregates) — the Figure 5 shape; a filtered / deeper
+           nested loop is its own subtree over the extended block *)
+        let block_op, block_rows, item =
           match d.frag with
-          | None -> (block.b_op, None)
+          | None -> (block.b_op, block.b_op, None)
           | Some (Ast.Flwor { clauses = Ast.For (w, _) :: rest; where = bw; return = br } as f)
             ->
             let benv = (w, Row { table = sd.sd_table; cols = block.b_cols }) :: env in
             let keep_corr = List.map fst block.b_corr in
-            if rest = [] && bw = None then begin
-              (* plain iteration: compile the item in place, sharing this
-                 block (and its aggregates) — the Figure 5 shape *)
-              let tree = compile_item ~keep:keep_corr ~schema_of ~env:benv ~cur:block.b_op br in
-              let tree = { tree with corr = keep_corr } in
-              children := !children @ [ tree ];
-              aggs := (f, ("frag", tree)) :: !aggs;
-              (tree.op, Some tree)
-            end
-            else begin
-              (* a filtered / deeper nested loop: its own subtree over the
-                 extended block *)
-              let tree =
+            let sub =
+              if rest = [] && bw = None then
+                compile_item ~keep:keep_corr ~schema_of ~env:benv ~cur:block.b_op br
+              else
                 compile_level ~keep:keep_corr ~schema_of ~env:benv ~cur:(Some block.b_op)
                   (Ast.Flwor { clauses = rest; where = bw; return = br })
-              in
-              let tree = { tree with corr = keep_corr } in
-              children := !children @ [ tree ];
-              aggs := (f, ("frag", tree)) :: !aggs;
-              (tree.op, Some tree)
-            end
+            in
+            let tree = { sub.lv_tree with corr = keep_corr } in
+            children := !children @ [ ({ sub with lv_tree = tree }, block.b_corr) ];
+            aggs := (f, ("frag", tree)) :: !aggs;
+            (tree.op, sub.lv_rows, Some tree)
           | Some _ -> assert false
         in
         (* grouped aggregates over the (possibly extended) block *)
         let corr_cols = List.map fst block.b_corr in
-        let group_aggs = ref [] in
+        let group_aggs = ref [] and scalar_calls = ref [] in
         let cnt_col = fresh_prefix "cnt" in
         if d.want_count || (item <> None && not (inner_ok d.dvar)) then
           group_aggs := (cnt_col, Expr.Count) :: !group_aggs;
@@ -436,6 +444,7 @@ let rec compile_level ?(keep = []) ~schema_of ~env ~cur (flwor : Ast.expr) : vie
               | _ -> assert false
             in
             group_aggs := (col, agg) :: !group_aggs;
+            scalar_calls := (col, call) :: !scalar_calls;
             aggs := (call, ("scalar", dummy_tree col)) :: !aggs)
           d.scalar_aggs;
         let frag_col = fresh_prefix "seq" in
@@ -450,6 +459,27 @@ let rec compile_level ?(keep = []) ~schema_of ~env ~cur (flwor : Ast.expr) : vie
         in
         let kind = if inner_ok d.dvar then Op.Inner else Op.Left_outer in
         cur := Op.join ~kind ~pred:join_pred !cur grouped;
+        (* the surviving rows join only the aggregates the where reads *)
+        let wd = List.find_opt (fun w -> w.dvar = d.dvar) !where_demands in
+        let where_count = Option.fold ~none:false ~some:(fun w -> w.want_count) wd in
+        let where_calls =
+          Option.fold ~none:[] ~some:(fun w -> List.map (fun (c, _, _) -> c) w.scalar_aggs) wd
+        in
+        let row_aggs =
+          List.filter
+            (fun (col, agg) ->
+              match agg with
+              | Expr.Count -> where_count
+              | Expr.Xml_frag _ -> false
+              | _ -> List.mem (List.assoc col !scalar_calls) where_calls)
+            (List.rev !group_aggs)
+        in
+        if kind = Op.Inner || row_aggs <> [] then
+          rows :=
+            Op.join ~kind ~pred:join_pred !rows
+              (Op.group_by ~keys:corr_cols ~aggs:row_aggs block_rows);
+        if where_count && kind = Op.Left_outer then
+          row_outer_counts := (cnt_col, true) :: !row_outer_counts;
         let have_cnt = d.want_count || (item <> None && not (inner_ok d.dvar)) in
         if d.want_count then begin
           let count_ast =
@@ -483,20 +513,26 @@ let rec compile_level ?(keep = []) ~schema_of ~env ~cur (flwor : Ast.expr) : vie
           | _ -> None)
         !aggs
     in
-    (* 4. where *)
-    let cur =
+    (* 4. where, over the element rows and over the surviving rows *)
+    let apply_where outer_counts cur =
       match where with
-      | None -> !cur
+      | None -> cur
       | Some w ->
         List.fold_left
-          (fun c conj -> compile_where_conjunct ~schema_of ~env ~aggs:agg_cols ~outer_counts:!outer_counts c conj)
-          !cur (conjuncts w)
+          (fun c conj -> compile_where_conjunct ~schema_of ~env ~aggs:agg_cols ~outer_counts c conj)
+          cur (conjuncts w)
     in
+    let cur = apply_where !outer_counts !cur in
     (* 5. return *)
     (match return with
     | Ast.Elem _ ->
-      compile_return ~keep ~schema_of ~env ~aggs:agg_cols ~children:!children
-        ~count_fields:!count_fields ~cur return
+      { lv_tree =
+          compile_return ~keep ~schema_of ~env ~aggs:agg_cols
+            ~children:(List.map (fun (l, _) -> l.lv_tree) !children)
+            ~count_fields:!count_fields ~cur return;
+        lv_rows = apply_where !row_outer_counts !rows;
+        lv_subs = !children;
+      }
     | _ -> fail "return must be an element constructor")
   | _ -> fail "expected a FLWOR expression"
 
@@ -653,10 +689,13 @@ and subst_col col replacement expr =
 
 (* Compile an item constructor for a block row (the body of a nested FLWOR
    with no further clauses). *)
-and compile_item ?(keep = []) ~schema_of ~env ~cur (e : Ast.expr) : view_tree =
+and compile_item ?(keep = []) ~schema_of ~env ~cur (e : Ast.expr) : level =
   match e with
   | Ast.Elem _ ->
-    compile_return ~keep ~schema_of ~env ~aggs:[] ~children:[] ~count_fields:[] ~cur e
+    { lv_tree = compile_return ~keep ~schema_of ~env ~aggs:[] ~children:[] ~count_fields:[] ~cur e;
+      lv_rows = cur;
+      lv_subs = [];
+    }
   | Ast.Flwor _ -> compile_level ~keep ~schema_of ~env ~cur:(Some cur) e
   | _ -> fail "unsupported nested return %s" (Ast.expr_to_string e)
 
@@ -734,6 +773,52 @@ and compile_return ?(keep = []) ~schema_of ~env ~aggs ~children ~count_fields ~c
     }
   | _ -> fail "return must be an element constructor"
 
+(* --- ancestor visibility --- *)
+
+(* [op] restricted to the rows whose correlation columns [corr] (column of
+   [op], expression over [by]) match a row of [by]; an uncorrelated child
+   ([corr] empty) keeps every row.  It is written as a left outer join with
+   the distinct correlation values that keeps the matched rows, so the
+   affected-key graphs re-key it to [op]'s own key as they do every nesting
+   join; it sits above [op]'s element constructor, so that constructor
+   stays the one the document's own graph holds. *)
+let semijoin op ~by corr =
+  let named = List.map (fun (c, e) -> (c, fresh_prefix "in", e)) corr in
+  let values =
+    (* [by]'s columns pass through so the projection keeps [by]'s key *)
+    Op.project
+      ~defs:(List.map (fun (_, v, e) -> (v, e)) named @ List.map (fun c -> (c, Expr.Col c)) (Op.cols by))
+      by
+  in
+  let distinct = Op.group_by ~keys:(List.map (fun (_, v, _) -> v) named) ~aggs:[] values in
+  let pred = Expr.and_ (List.map (fun (c, v, _) -> Expr.eq (Expr.Col c) (Expr.Col v)) named) in
+  let matched =
+    match named with
+    | (_, v, _) :: _ -> Expr.Not (Expr.Is_null (Expr.Col v))
+    | [] -> Expr.Const (Value.Bool true)
+  in
+  Op.project
+    ~defs:(List.map (fun c -> (c, Expr.Col c)) (Op.cols op))
+    (Op.select ~pred:matched (Op.join ~kind:Op.Left_outer ~pred op distinct))
+
+(* A nested element is in the document exactly when its ancestors'
+   predicates hold (Liu et al.'s visibility condition): top-down, each child
+   level's op and surviving rows are restricted to its parent's restricted
+   surviving rows.  Every reader of a level — triggers, view rows, view DML
+   — sees the document's elements and no others; the document itself is
+   built from the unrestricted levels, whose parents already filter their
+   groups. *)
+let rec restrict ?within (lv : level) : view_tree =
+  let op, rows =
+    match within with
+    | None -> (lv.lv_tree.op, lv.lv_rows)
+    | Some (by, corr) -> (semijoin lv.lv_tree.op ~by corr, semijoin lv.lv_rows ~by corr)
+  in
+  { lv.lv_tree with
+    op;
+    children = List.map (fun (sub, corr) -> restrict ~within:(rows, corr) sub) lv.lv_subs;
+  }
+
 (* --- the document element --- *)
 
 let compile_view ~schema_of ~name (definition : Ast.expr) : view =
@@ -748,7 +833,7 @@ let compile_view ~schema_of ~name (definition : Ast.expr) : view =
           match c with
           | Ast.C_text t -> [ Expr.Const (Value.String t) ]
           | Ast.C_enclosed (Ast.Flwor _ as f) ->
-            let tree = compile_level ~schema_of ~env:[] ~cur:None f in
+            let tree = restrict (compile_level ~schema_of ~env:[] ~cur:None f) in
             let frag_col = fresh_prefix "docseq" in
             frags := (frag_col, tree) :: !frags;
             children := !children @ [ tree ];

@@ -13,13 +13,24 @@
     element-structure skeleton of the view with, per level, the operator
     producing that level's elements, its canonical key, and provenance from
     attributes / simple child elements back to columns.  View composition
-    (trigger paths, conditions) works on this tree. *)
+    (trigger paths, conditions) works on this tree.
+
+    A nested element is in the document only when its ancestors'
+    predicates hold, and each level's operator says so itself: it is
+    semijoined, on its correlation columns, with its parent level's
+    surviving rows (the parent's iteration after its [where], carrying only
+    the aggregates that [where] reads), which are restricted by theirs in
+    turn.  Every reader of a level — triggers, view rows, view DML — thus
+    sees exactly the document's elements.  The document's own graph
+    nests the unrestricted levels, whose parents filter their groups. *)
 
 exception Unsupported of string
 
 type view_tree = {
   elem_tag : string;
-  op : Xqgm.Op.t;  (** produces one tuple per element of this level *)
+  op : Xqgm.Op.t;
+      (** produces one tuple per element of this level in the document:
+          ancestors' predicates included *)
   node_col : string;  (** the column holding the constructed element *)
   key : string list;  (** canonical key of [op] *)
   fields : (string * string) list;
@@ -28,8 +39,9 @@ type view_tree = {
           of [op] *)
   corr : string list;
       (** correlation columns linking this level to its parent (exposed in
-          both levels' operators); empty at the root.  Used by nested
-          trigger-condition grouping (§5.1). *)
+          both levels' operators); empty at the root.  They are the key of
+          the semijoin with the parent's surviving rows, and nested
+          trigger-condition grouping (§5.1) groups on them. *)
   children : view_tree list;
 }
 

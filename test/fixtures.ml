@@ -154,3 +154,80 @@ let insert_vendor db ~vid ~pid ~price =
 
 let delete_vendor db ~vid ~pid =
   ignore (Database.delete_pk db ~table:"vendor" ~pk:[ v_str vid; v_str pid ])
+
+(* --- the literal oracle (Definitions 2 and 3) ---
+
+   Materialize the whole document through the reference evaluator, select
+   the trigger path's nodes with XPath, and diff the before/after node sets
+   by the level's canonical key (read off each node by [key]).  It shares
+   nothing with the compiled level plans, the affected-node graphs or the
+   runtime's own readers, so it sees a level holding elements the document
+   does not. *)
+
+module Xml = Xmlkit.Xml
+
+(* The nodes [xpath] selects in [view]'s document (the document element is
+   the context node: [/product/vendor] for [view('catalog')/product/vendor]),
+   each with its key. *)
+let oracle_nodes ctx view ~xpath ~key =
+  let doc = Xquery.Compile.materialize ctx view in
+  List.map (fun n -> (key n, n)) (Xmlkit.Xpath.select doc xpath)
+
+(* The XPath of the level tagged [tag] below the document element, e.g.
+   "/product/vendor". *)
+let level_xpath (view : Xquery.Compile.view) tag =
+  let rec find prefix (t : Xquery.Compile.view_tree) =
+    List.find_map
+      (fun (c : Xquery.Compile.view_tree) ->
+        let path = prefix ^ "/" ^ c.Xquery.Compile.elem_tag in
+        if c.Xquery.Compile.elem_tag = tag then Some path else find path c)
+      t.Xquery.Compile.children
+  in
+  match find "" view.Xquery.Compile.tree with
+  | Some p -> p
+  | None -> invalid_arg ("no level " ^ tag)
+
+(* A key read off a node: each name is an attribute ("@name") or a simple
+   child element ("vid"). *)
+let field_key fields node =
+  String.concat "|"
+    (List.map
+       (fun f ->
+         if String.length f > 0 && f.[0] = '@' then
+           Option.value ~default:"" (Xml.attr node (String.sub f 1 (String.length f - 1)))
+         else String.concat "," (List.map Xml.text_content (Xml.children_named node f)))
+       fields)
+
+(* The hand-built Figure 5 graph as a compiled view, for {!oracle_nodes}. *)
+let hand_built_catalog () =
+  { Xquery.Compile.view_name = "catalog";
+    definition = Xquery.Ast.Lit (Value.String "Figure 5");
+    tree =
+      { Xquery.Compile.elem_tag = "catalog";
+        op = catalog_view ();
+        node_col = "catalog_elem";
+        key = [];
+        fields = [];
+        corr = [];
+        children = [];
+      };
+  }
+
+type diff = {
+  updated : (string * Xml.t * Xml.t) list;  (* key, old, new *)
+  inserted : (string * Xml.t) list;
+  deleted : (string * Xml.t) list;
+}
+
+let oracle_diff before after =
+  let updated =
+    List.filter_map
+      (fun (k, old_n) ->
+        match List.assoc_opt k after with
+        | Some new_n when not (Xml.equal old_n new_n) -> Some (k, old_n, new_n)
+        | _ -> None)
+      before
+  in
+  let inserted = List.filter (fun (k, _) -> not (List.mem_assoc k before)) after in
+  let deleted = List.filter (fun (k, _) -> not (List.mem_assoc k after)) before in
+  { updated; inserted; deleted }

@@ -382,11 +382,25 @@ let xml_escape s =
    reference rows: [view_rows] copied into a [Values] relation with each
    row's document-order index, filtered and sorted by the RQL plan through
    the reference evaluator, sliced, and rendered.  [default] is the tag of
-   the view's default level. *)
+   the view's default level.  The reference rows' nodes must themselves be
+   the level's nodes in the materialized document. *)
 let oracle_body ?(view = "catalog") ?(default = "product") mgr ~level ~format ~query q =
   let jesc = Obs.Metrics.json_escape in
   let fields = Runtime.view_level_fields mgr ~view ?level () in
   let rows = Array.of_list (Runtime.view_rows mgr ~view ?level ()) in
+  (let compiled = Option.get (Runtime.find_view mgr view) in
+   let doc =
+     Fixtures.oracle_nodes
+       (Relkit.Ra_eval.ctx_of_db (Runtime.database mgr))
+       compiled
+       ~xpath:(Fixtures.level_xpath compiled (Option.value level ~default))
+       ~key:(fun _ -> "")
+   in
+   let canon nodes = List.sort compare (List.map (Xmlkit.Xml.to_string ~canonical:true) nodes) in
+   if canon (List.map snd doc) <> canon (Array.to_list (Array.map (fun r -> r.Runtime.vr_node) rows))
+   then
+     Alcotest.failf "view_rows of %s differ from the document's %d nodes"
+       (Option.value level ~default) (List.length doc));
   let vrows =
     Array.to_list
       (Array.mapi
@@ -550,6 +564,28 @@ let test_http_query_unpushable_level () =
   ignore (Relkit.Sql.exec db "UPDATE vendor SET price = 500.0 WHERE vid = 'Amazon'");
   check "sort(-price,+vid)&limit(1,3)" "json";
   check "eq(nosuch,1)" "json"
+
+(* A vendor whose product fails the catalog's count($vendors) >= 2 is not
+   in the document, so the vendor level does not serve it: Figure 2 plus
+   P4 with the one vendor Solo serves 7 vendors, and a second P4 vendor
+   brings in both. *)
+let test_http_hidden_vendor () =
+  with_api @@ fun db mgr _hub api ->
+  ignore (Relkit.Sql.exec db "INSERT INTO product VALUES ('P4', 'OLED 27', 'Acme')");
+  ignore (Relkit.Sql.exec db "INSERT INTO vendor VALUES ('Solo', 'P4', 300.0)");
+  let check total =
+    let r = request api "/views/catalog?level=vendor" in
+    let status, body =
+      oracle_body mgr ~level:(Some "vendor") ~format:`Json ~query:"level=vendor" Rql.empty
+    in
+    Alcotest.(check int) "status" status r.r_status;
+    Alcotest.(check string) "served = document" body r.r_body;
+    Alcotest.(check bool) (Printf.sprintf "%d vendors" total) true
+      (contains r.r_body (Printf.sprintf "\"total\": %d," total))
+  in
+  check 7;
+  ignore (Relkit.Sql.exec db "INSERT INTO vendor VALUES ('Duo', 'P4', 310.0)");
+  check 9
 
 (* With no rows at the default level, the response still names it. *)
 let test_http_query_empty_level () =
@@ -883,7 +919,11 @@ let test_http_metrics () =
   with_api @@ fun _db _mgr hub api ->
   (* a subscription, a socket sink and one fired statement, so every hub
      family has samples; the connection gauges depend on when the server
-     notices the earlier requests' closed sockets, so they are masked *)
+     notices the earlier requests' closed sockets, so they are masked.  The
+     feed's vendor plan also reads the product level's count (a vendor is
+     in the view only while its product is), so the scan and probe counters
+     include that level's; its product plan is compiled only once a
+     statement writes product, which none here does. *)
   let sock =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "trigview_http_%d.sock" (Unix.getpid ()))
@@ -910,7 +950,7 @@ let test_http_metrics () =
       "trigview_runtime_total{name=\"sql_firings\"} 1";
       "trigview_runtime_total{name=\"rows_computed\"} 1";
       "trigview_runtime_total{name=\"actions_dispatched\"} 1";
-      "trigview_runtime_total{name=\"plans_compiled\"} 2";
+      "trigview_runtime_total{name=\"plans_compiled\"} 1";
       "trigview_runtime_total{name=\"compiled_execs\"} 1";
       "trigview_runtime_total{name=\"build_cache_hits\"} 0";
       "trigview_runtime_total{name=\"build_cache_misses\"} 0";
@@ -951,28 +991,28 @@ let test_http_metrics () =
       "# TYPE trigview_recommended_strategy gauge";
       "trigview_recommended_strategy{name=\"sub$feed\"} _";
       "# TYPE trigview_scan_rows_total counter";
-      "trigview_scan_rows_total{name=\"delta:vendor\"} 2";
-      "trigview_scan_rows_total{name=\"nabla:vendor\"} 2";
+      "trigview_scan_rows_total{name=\"delta:vendor\"} 4";
+      "trigview_scan_rows_total{name=\"nabla:vendor\"} 4";
       "trigview_scan_rows_total{name=\"scan:trigconsts0\"} 1";
       "# TYPE trigview_probe_total counter";
-      "trigview_probe_total{name=\"product/pk_probes\"} 13";
-      "trigview_probe_total{name=\"product/pk_hits\"} 10";
-      "trigview_probe_total{name=\"product/idx_probes\"} 0";
-      "trigview_probe_total{name=\"product/idx_hits\"} 0";
+      "trigview_probe_total{name=\"product/pk_probes\"} 17";
+      "trigview_probe_total{name=\"product/pk_hits\"} 14";
+      "trigview_probe_total{name=\"product/idx_probes\"} 1";
+      "trigview_probe_total{name=\"product/idx_hits\"} 1";
       "trigview_probe_total{name=\"product/scan_lookups\"} 0";
-      "trigview_probe_total{name=\"product/lookup_cache_hits\"} 0";
+      "trigview_probe_total{name=\"product/lookup_cache_hits\"} 3";
       "trigview_probe_total{name=\"trigconsts0/pk_probes\"} 1";
       "trigview_probe_total{name=\"trigconsts0/pk_hits\"} 0";
       "trigview_probe_total{name=\"trigconsts0/idx_probes\"} 0";
       "trigview_probe_total{name=\"trigconsts0/idx_hits\"} 0";
       "trigview_probe_total{name=\"trigconsts0/scan_lookups\"} 0";
       "trigview_probe_total{name=\"trigconsts0/lookup_cache_hits\"} 0";
-      "trigview_probe_total{name=\"vendor/pk_probes\"} 9";
-      "trigview_probe_total{name=\"vendor/pk_hits\"} 2";
-      "trigview_probe_total{name=\"vendor/idx_probes\"} 0";
-      "trigview_probe_total{name=\"vendor/idx_hits\"} 0";
+      "trigview_probe_total{name=\"vendor/pk_probes\"} 13";
+      "trigview_probe_total{name=\"vendor/pk_hits\"} 6";
+      "trigview_probe_total{name=\"vendor/idx_probes\"} 2";
+      "trigview_probe_total{name=\"vendor/idx_hits\"} 2";
       "trigview_probe_total{name=\"vendor/scan_lookups\"} 0";
-      "trigview_probe_total{name=\"vendor/lookup_cache_hits\"} 0";
+      "trigview_probe_total{name=\"vendor/lookup_cache_hits\"} 2";
       "# TYPE trigview_latency_ns histogram";
       "trigview_latency_ns_bucket{name=\"firing:g0:vendor\",le=\"+Inf\"} 1";
       "trigview_latency_ns_sum{name=\"firing:g0:vendor\"} _";
@@ -1063,6 +1103,7 @@ let () =
           Alcotest.test_case "query errors" `Quick test_http_query_errors;
           Alcotest.test_case "query empty default level" `Quick
             test_http_query_empty_level;
+          Alcotest.test_case "query hides hidden vendors" `Quick test_http_hidden_vendor;
           Alcotest.test_case "query unpushable level" `Quick
             test_http_query_unpushable_level;
           QCheck_alcotest.to_alcotest test_http_read_differential;

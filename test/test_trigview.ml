@@ -85,38 +85,13 @@ let capture_ctx db ~table ~event dml =
   | Some tctx -> tctx
   | None -> Alcotest.fail "statement did not fire"
 
-(* Materialize the monitored level as (key string, node) pairs. *)
+(* The monitored level's nodes in the materialized document, keyed by
+   product name. *)
 let view_snapshot ctx =
-  let rel = Eval.eval ctx (Fixtures.product_level ()) in
-  let ki = Eval.col_index rel "pname" and ni = Eval.col_index rel "product_elem" in
-  List.map
-    (fun row ->
-      match row.(ki), row.(ni) with
-      | Xval.Atom k, Xval.Node n -> (Value.to_string k, n)
-      | _ -> Alcotest.fail "unexpected shape")
-    rel.Eval.rows
+  Fixtures.oracle_nodes ctx (Fixtures.hand_built_catalog ()) ~xpath:"/product"
+    ~key:(Fixtures.field_key [ "@name" ])
 
-(* The oracle: Definitions 2 and 3, literally. *)
-type diff = {
-  updated : (string * Xmlkit.Xml.t * Xmlkit.Xml.t) list;  (* key, old, new *)
-  inserted : (string * Xmlkit.Xml.t) list;
-  deleted : (string * Xmlkit.Xml.t) list;
-}
-
-let oracle_diff before after =
-  let updated =
-    List.filter_map
-      (fun (k, old_n) ->
-        match List.assoc_opt k after with
-        | Some new_n when not (Xmlkit.Xml.equal old_n new_n) -> Some (k, old_n, new_n)
-        | _ -> None)
-      before
-  in
-  let inserted =
-    List.filter (fun (k, _) -> not (List.mem_assoc k before)) after
-  in
-  let deleted = List.filter (fun (k, _) -> not (List.mem_assoc k after)) before in
-  { updated; inserted; deleted }
+let oracle_diff = Fixtures.oracle_diff
 
 (* Evaluate a G_affected graph and decode its rows. *)
 let eval_affected tctx (an : Trigview.Angraph.t) =
@@ -158,7 +133,7 @@ let test_nested_predicate_insert_detected () =
      product node is UPDATED.  Computing changes from the transition table
      alone would see count = 1 < 2 and miss it — the motivating bug. *)
   let db = Fixtures.mk_db () in
-  let rows, d =
+  let rows, (d : Fixtures.diff) =
     affected_for db ~table:"vendor" ~event:Database.Insert ~xml_event:Database.Update
       (fun () -> Fixtures.insert_vendor db ~vid:"Amazon" ~pid:"P2" ~price:500.0)
   in
@@ -200,7 +175,7 @@ let test_transition_only_evaluation_misses_it () =
 
 let test_price_update_yields_update () =
   let db = Fixtures.mk_db () in
-  let rows, d =
+  let rows, (d : Fixtures.diff) =
     affected_for db ~table:"vendor" ~event:Database.Update ~xml_event:Database.Update
       (fun () -> Fixtures.update_vendor_price db ~vid:"Amazon" ~pid:"P1" ~price:75.0)
   in
@@ -217,7 +192,7 @@ let test_view_insert_event () =
   (* OLED starts with one vendor (below threshold), gains a second. *)
   Database.insert_rows db ~table:"product" [ [| v_str "P4"; v_str "OLED"; v_str "LG" |] ];
   Fixtures.insert_vendor db ~vid:"Amazon" ~pid:"P4" ~price:900.0;
-  let rows, d =
+  let rows, (d : Fixtures.diff) =
     affected_for db ~table:"vendor" ~event:Database.Insert ~xml_event:Database.Insert
       (fun () -> Fixtures.insert_vendor db ~vid:"Bestbuy" ~pid:"P4" ~price:950.0)
   in
@@ -229,7 +204,7 @@ let test_view_insert_event () =
 
 let test_view_delete_event () =
   let db = Fixtures.mk_db () in
-  let rows, d =
+  let rows, (d : Fixtures.diff) =
     affected_for db ~table:"vendor" ~event:Database.Delete ~xml_event:Database.Delete
       (fun () -> Fixtures.delete_vendor db ~vid:"Buy.com" ~pid:"P2")
   in
@@ -244,7 +219,7 @@ let test_threshold_crossing_is_not_update () =
   (* When a node leaves the view, an UPDATE trigger must not fire for it
      (Definition 2 requires presence on both sides). *)
   let db = Fixtures.mk_db () in
-  let rows, d =
+  let rows, (d : Fixtures.diff) =
     affected_for db ~table:"vendor" ~event:Database.Delete ~xml_event:Database.Update
       (fun () -> Fixtures.delete_vendor db ~vid:"Buy.com" ~pid:"P2")
   in
@@ -254,7 +229,7 @@ let test_threshold_crossing_is_not_update () =
 let test_product_update_affects_node () =
   (* Renaming a product merges/splits groups; monitor product UPDATE. *)
   let db = Fixtures.mk_db () in
-  let rows, d =
+  let rows, (d : Fixtures.diff) =
     affected_for db ~table:"product" ~event:Database.Update ~xml_event:Database.Update
       (fun () ->
         ignore
@@ -270,7 +245,7 @@ let test_multi_row_statement () =
   (* One statement updating several vendors: a single firing computes all
      affected nodes. *)
   let db = Fixtures.mk_db () in
-  let rows, d =
+  let rows, (d : Fixtures.diff) =
     affected_for db ~table:"vendor" ~event:Database.Update ~xml_event:Database.Update
       (fun () ->
         ignore

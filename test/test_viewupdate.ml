@@ -227,10 +227,10 @@ let test_visibility_flip_rejected () =
     Alcotest.(check bool) "side effects reported" true (d.Vu.d_side_effects <> []);
     Alcotest.(check int) "vendors untouched" 7 (List.length (table_rows mgr "vendor"))
 
-(* A vendor whose product group fails the count(>= 2) WHERE exists in the
-   vendor level relation but not in the document: view DML must refuse to
-   touch its base row (it used to update/delete it silently, bypassing the
-   ancestor level's predicate). *)
+(* A vendor whose product group fails the count(>= 2) WHERE is not in the
+   document, and so not in the vendor level either (the level carries its
+   ancestor's predicate): view DML must find no node and refuse to touch
+   its base row. *)
 let test_hidden_node_rejected () =
   let mgr = mk_mgr () in
   let db = Runtime.database mgr in
