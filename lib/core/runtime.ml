@@ -92,6 +92,9 @@ type exec =
       (* why the plan is not pushed down (the graph is not pushable, or its
          plan failed to compile): every firing evaluates [tp_graph] *)
 
+(* State a layer above the runtime keeps per runtime (see {!layer_state}). *)
+type layer_state = ..
+
 (* What a (group, table) delta query compiles to. *)
 type compiled_plan = {
   cp_exec : exec;
@@ -186,10 +189,13 @@ and t = {
          firings only) *)
   mutable next_group : int;
   template_cache : (string, template_plans) Hashtbl.t;
-  (* logical DDL in creation order (newest first): view definitions and XML
-     trigger DDL text.  This — not the compiled plans — is what durability
-     persists; recovery re-compiles and re-arms from it. *)
-  mutable ddl_log : (string * string * string) list;  (* kind, name, payload *)
+  (* the live DDL records (views, XML triggers, TUNE pins, custom kinds),
+     keyed by (kind, name), with their insertion sequence numbers.  This —
+     not the compiled plans — is what durability persists; recovery
+     re-compiles and re-arms from it. *)
+  catalog : (string * string, int * string) Hashtbl.t;  (* -> seq, payload *)
+  mutable catalog_seq : int;
+  mutable layer_states : layer_state list;
   mutable store : Durability.Store.t option;
   strategy_overrides : (string, strategy) Hashtbl.t;
       (* per-trigger strategy pins applied by TUNE: consulted (instead of
@@ -255,7 +261,9 @@ let create ?(strategy = Grouped_agg) ?(tuning = default_tuning) db =
     histograms = Obs.Metrics.create_registry ();
     next_group = 0;
     template_cache = Hashtbl.create 16;
-    ddl_log = [];
+    catalog = Hashtbl.create 64;
+    catalog_seq = 0;
+    layer_states = [];
     store = None;
     strategy_overrides = Hashtbl.create 8;
     last_reco = Hashtbl.create 8;
@@ -267,40 +275,42 @@ let create ?(strategy = Grouped_agg) ?(tuning = default_tuning) db =
    them from both the WAL and snapshots. *)
 let is_system_table name = String.length name >= 10 && String.sub name 0 10 = "trigconsts"
 
+let log_meta t ~kind ~name ~payload =
+  Option.iter (fun s -> Durability.Store.log_meta s ~kind ~name ~payload) t.store
+
+(* Every record goes to the WAL.  In memory a ["drop_<kind>"] record, for
+   any kind, cancels the live ["<kind>"] records of its name and is not
+   kept itself, so the catalog holds only what is live. *)
 let record_ddl t ~kind ~name ~payload =
-  t.ddl_log <- (kind, name, payload) :: t.ddl_log;
-  match t.store with
-  | Some s -> Durability.Store.log_meta s ~kind ~name ~payload
-  | None -> ()
+  (if String.length kind > 5 && String.sub kind 0 5 = "drop_" then begin
+     let key = (String.sub kind 5 (String.length kind - 5), name) in
+     while Hashtbl.mem t.catalog key do
+       Hashtbl.remove t.catalog key
+     done
+   end
+   else begin
+     Hashtbl.add t.catalog (kind, name) (t.catalog_seq, payload);
+     t.catalog_seq <- t.catalog_seq + 1
+   end);
+  log_meta t ~kind ~name ~payload
 
-(* The current logical catalog: the DDL log with dropped entries compacted
-   away — a ["drop_<kind>"] record cancels the earlier ["<kind>"] record of
-   the same name, for any kind (xmltrigger, subscription, ...).  This is the
-   meta a checkpoint embeds in its snapshot.  Linear in the log: [live]
-   maps each (kind, name) to the positions of its uncancelled records. *)
+(* The live catalog in log order: the meta a checkpoint embeds in its
+   snapshot.  Its cost follows the live entries, not the history. *)
 let current_meta t =
-  let records = Array.of_list (List.rev t.ddl_log) in
-  let keep = Array.make (Array.length records) true in
-  let live = Hashtbl.create 64 in
-  let positions k = Option.value ~default:[] (Hashtbl.find_opt live k) in
-  Array.iteri
-    (fun i (kind, name, _) ->
-      if String.length kind > 5 && String.sub kind 0 5 = "drop_" then begin
-        let k = (String.sub kind 5 (String.length kind - 5), name) in
-        keep.(i) <- false;
-        List.iter (fun j -> keep.(j) <- false) (positions k);
-        Hashtbl.remove live k
-      end
-      else Hashtbl.replace live (kind, name) (i :: positions (kind, name)))
-    records;
-  List.filteri (fun i _ -> keep.(i)) (Array.to_list records)
+  Hashtbl.fold (fun (kind, name) (seq, payload) acc -> (seq, (kind, name, payload)) :: acc)
+    t.catalog []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
-(* Layers above the runtime (e.g. the subscription hub) persist their own
-   DDL through the runtime's log so it rides the same WAL/checkpoint/replay
-   machinery.  [reopen] ignores kinds it does not know; the owning layer
-   replays them from [recovery_meta] after reopen.  A ["drop_<kind>"] record
-   compacts away the matching ["<kind>"] record at checkpoint time. *)
-let record_custom_ddl t ~kind ~name ~payload = record_ddl t ~kind ~name ~payload
+let record_custom_ddl = record_ddl
+
+let layer_state t ~find ~create =
+  match List.find_map find t.layer_states with
+  | Some s -> s
+  | None ->
+    let s = create () in
+    t.layer_states <- s :: t.layer_states;
+    Option.get (find s)
 
 let database t = t.db
 let strategy t = t.strat
@@ -2457,27 +2467,19 @@ let analyze_json t =
 
 (* --- TUNE: apply recommendations by re-arming live --- *)
 
-(* Re-arm [name] under [strat]: drop + recreate from the logged DDL text.
+(* Re-arm [name] under [strat]: drop + recreate from its catalog entry.
    The action registry, subscriptions and the audit ring live outside the
    trigger, so they carry over; the drop/tune/create record triple makes
    recovery replay the same transition. *)
 let retarget_trigger t name strat =
-  let payload =
-    List.find_map
-      (fun (k, n, p) -> if k = "xmltrigger" && n = name then Some p else None)
-      t.ddl_log
-  in
-  match payload with
+  match Hashtbl.find_opt t.catalog ("xmltrigger", name) with
   | None ->
     fail "cannot tune %S: no logged DDL for it (created with log off?)" name
-  | Some text ->
+  | Some (_, text) ->
     drop_trigger t name;
     record_ddl t ~kind:"tune" ~name ~payload:(strategy_to_string strat);
     Hashtbl.replace t.strategy_overrides name strat;
     create_trigger t text
-
-let set_strategy_override t name strat =
-  Hashtbl.replace t.strategy_overrides name strat
 
 let trigger_strategy t name =
   Option.map (fun e -> e.e_group.g_strategy) (Hashtbl.find_opt t.trigger_index name)

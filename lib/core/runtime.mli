@@ -105,6 +105,15 @@ val create : ?strategy:strategy -> ?tuning:tuning -> Relkit.Database.t -> t
 val database : t -> Relkit.Database.t
 val strategy : t -> strategy
 
+(** State a layer above the runtime keeps per runtime (the view-update
+    translator's strategies and level memos), freed with the runtime. *)
+type layer_state = ..
+
+(** The first held state [find] accepts, else [create ()], held from then
+    on ([find] must accept it). *)
+val layer_state :
+  t -> find:(layer_state -> 'a option) -> create:(unit -> layer_state) -> 'a
+
 (** Compiles and publishes a view; its name is the one used in trigger
     paths.  @raise Error on parse/compile problems. *)
 val define_view : t -> name:string -> string -> unit
@@ -128,13 +137,21 @@ val create_trigger : ?log:bool -> t -> string -> unit
 val drop_trigger : ?log:bool -> t -> string -> unit
 val trigger_names : t -> string list
 
-(** Appends a custom DDL record to the runtime's durability log, so
-    subsystems layered above the runtime (e.g. the subscription hub) ride
-    the same WAL/checkpoint/recovery machinery.  {!reopen} ignores kinds it
-    does not know; the owning layer replays them from
-    [reopened.recovery.meta].  A later record of kind ["drop_<kind>"] with
-    the same name compacts the pair away at the next checkpoint. *)
+(** Adds a custom DDL record to the runtime's catalog (and the WAL, when
+    durability is attached), so subsystems layered above the runtime (e.g.
+    the subscription hub) ride the same WAL/checkpoint/recovery machinery.
+    {!reopen} ignores kinds it does not know; the owning layer replays them
+    from [reopened.recovery.meta].  A ["drop_<kind>"] record goes to the
+    WAL and removes the live ["<kind>"] records of its name. *)
 val record_custom_ddl : t -> kind:string -> name:string -> payload:string -> unit
+
+(** Writes a meta record to the WAL only (nothing without durability): no
+    catalog entry, so the next checkpoint leaves it behind.  Provenance
+    such as the view-update translator's ["viewdml"] records. *)
+val log_meta : t -> kind:string -> name:string -> payload:string -> unit
+
+(** The live catalog in log order: what a checkpoint embeds. *)
+val current_meta : t -> (string * string * string) list
 
 (** Number of SQL triggers currently registered underneath. *)
 val sql_trigger_count : t -> int
@@ -330,17 +347,12 @@ val analyze_json : t -> string
 
 (** Applies the advisor's recommendations ([?trigger] restricts to one):
     every trigger whose recommended strategy differs is dropped and
-    re-created from its logged DDL under the new strategy (subscriptions
+    re-created from its catalog entry under the new strategy (subscriptions
     and registered actions are unaffected; the drop/tune/create triple is
     logged so recovery replays the transition).  Returns a summary.
-    @raise Error on unknown [?trigger] or when a trigger has no logged
-    DDL (created with [~log:false]). *)
+    @raise Error on unknown [?trigger] or when a trigger has no catalog
+    entry (it was armed with [~log:false]). *)
 val tune : ?trigger:string -> t -> string
-
-(** Pins [name]'s strategy for its next (re-)creation, overriding the
-    manager default — the mechanism both {!tune} and recovery's ["tune"]
-    meta records use. *)
-val set_strategy_override : t -> string -> strategy -> unit
 
 (** The strategy a currently-installed trigger actually runs under. *)
 val trigger_strategy : t -> string -> strategy option

@@ -571,25 +571,44 @@ let rows_equal a b =
   let rec go i = i < 0 || (Value.equal a.(i) b.(i) && go (i - 1)) in
   go (Array.length a - 1)
 
-let update_rows_gen t ~table ~where ~touched_cols ~set =
-  let t0 = Obs.Trace.start t.trace in
-  let sid = next_stmt t in
-  let tbl = get_table t table in
-  let victims = Table.fold tbl ~init:[] ~f:(fun acc row -> if where row then row :: acc else acc) in
-  let pairs = List.map (fun old -> (old, set old)) victims in
-  List.iter (fun (_, row) -> check_row_valid tbl row) pairs;
+(* Applies an UPDATE's (old, new) row pairs.  Every check runs before
+   anything is mutated, so a rejected statement leaves the table as it was:
+   row constraints and foreign keys of the new images, then — when some key
+   moves — that the new keys are distinct and held by no row outside the
+   victims.  Moved rows are all deleted before any is re-inserted, so keys
+   may move among the victims. *)
+let apply_update t tbl pairs =
   let schema = Table.schema tbl in
-  List.iter
-    (fun (old, row) ->
-      let old_pk = Schema.pk_of_row schema old in
-      let new_pk = Schema.pk_of_row schema row in
-      if List.equal Value.equal old_pk new_pk then ignore (Table.replace_exn tbl row)
-      else begin
-        ignore (Table.delete_pk tbl old_pk);
-        Table.insert_exn tbl row
-      end;
-      check_foreign_keys t tbl row)
-    pairs;
+  let pk = Schema.pk_of_row schema in
+  let same_key (old, row) = List.equal Value.equal (pk old) (pk row) in
+  let moved = List.filter (fun p -> not (same_key p)) pairs in
+  List.iter (fun (_, row) -> check_row_valid tbl row; check_foreign_keys t tbl row) pairs;
+  if moved <> [] then begin
+    let old_keys = Table.Pk_table.create 16 and new_keys = Table.Pk_table.create 16 in
+    List.iter (fun (old, _) -> Table.Pk_table.replace old_keys (pk old) ()) pairs;
+    List.iter
+      (fun (_, row) ->
+        let k = pk row in
+        if Table.Pk_table.mem new_keys k
+           || (Table.find_pk tbl k <> None && not (Table.Pk_table.mem old_keys k))
+        then
+          invalid_arg
+            (Printf.sprintf "duplicate primary key (%s) on update of %S"
+               (String.concat ", " (List.map Value.to_string k)) schema.Schema.name);
+        Table.Pk_table.add new_keys k ())
+      pairs
+  end;
+  List.iter (fun (old, _) -> ignore (Table.delete_pk tbl (pk old))) moved;
+  List.iter (fun (_, row) -> Table.insert_exn tbl row) moved;
+  List.iter (fun p -> if same_key p then ignore (Table.replace_exn tbl (snd p))) pairs
+
+(* One UPDATE statement over the rows [victims]: apply, then the change hook
+   and the triggers see the pairs that actually changed. *)
+let update_victims t ~t0 ~sid ~note ~table ~touched_cols victims ~set =
+  let tbl = get_table t table in
+  let pairs = List.map (fun old -> (old, set old)) victims in
+  apply_update t tbl pairs;
+  let schema = Table.schema tbl in
   let changed = List.filter (fun (o, n) -> not (rows_equal o n)) pairs in
   bump_dml t table (List.length pairs);
   if changed <> [] then begin
@@ -610,8 +629,16 @@ let update_rows_gen t ~table ~where ~touched_cols ~set =
       ?touched ()
   end;
   if Obs.Trace.enabled t.trace then
-    Obs.Trace.finish_note t.trace t0 "dml" (dml_note "UPDATE" table (List.length pairs));
+    Obs.Trace.finish_note t.trace t0 "dml" (dml_note note table (List.length pairs));
   List.length pairs
+
+let update_rows_gen t ~table ~where ~touched_cols ~set =
+  let t0 = Obs.Trace.start t.trace in
+  let sid = next_stmt t in
+  let victims =
+    Table.fold (get_table t table) ~init:[] ~f:(fun acc row -> if where row then row :: acc else acc)
+  in
+  update_victims t ~t0 ~sid ~note:"UPDATE" ~table ~touched_cols victims ~set
 
 let update_rows t ~table ~where ~set =
   update_rows_gen t ~table ~where ~touched_cols:None ~set
@@ -622,28 +649,10 @@ let update_rows_hint t ~table ~where ~touched_cols ~set =
 let update_pk t ~table ~pk ~set =
   let t0 = Obs.Trace.start t.trace in
   let sid = next_stmt t in
-  let tbl = get_table t table in
-  match Table.find_pk tbl pk with
+  match Table.find_pk (get_table t table) pk with
   | None -> false
   | Some old ->
-    let row = set old in
-    check_row_valid tbl row;
-    let schema = Table.schema tbl in
-    let new_pk = Schema.pk_of_row schema row in
-    if List.equal Value.equal pk new_pk then ignore (Table.replace_exn tbl row)
-    else begin
-      ignore (Table.delete_pk tbl pk);
-      Table.insert_exn tbl row
-    end;
-    check_foreign_keys t tbl row;
-    bump_dml t table 1;
-    if not (rows_equal old row) then begin
-      notify t (Ch_update { table; before = [ old ]; after = [ row ] });
-      fire_triggers t ~target:table ~event:Update ~stmt_id:sid ~inserted:[ row ]
-        ~deleted:[ old ] ()
-    end;
-    if Obs.Trace.enabled t.trace then
-      Obs.Trace.finish_note t.trace t0 "dml" (dml_note "UPDATE_PK" table 1);
+    ignore (update_victims t ~t0 ~sid ~note:"UPDATE_PK" ~table ~touched_cols:None [ old ] ~set);
     true
 
 let delete_rows t ~table ~where =

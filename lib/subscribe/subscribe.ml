@@ -237,7 +237,7 @@ let trigger_text (p : parsed) =
 
 (* [log] is off while re-arming from recovery meta would re-log records the
    WAL already holds... no: re-arming *must* re-log, because the runtime the
-   records are replayed into starts with an empty DDL log (see [rearm]).
+   records are replayed into starts with an empty catalog (see [rearm]).
    The flag exists for callers embedding the hub without durability
    semantics; the CLI and tests always log. *)
 let subscribe_internal ?(log = true) t ddl =
@@ -281,8 +281,8 @@ let subscription_names t = List.rev_map fst t.subs
 let subscriptions t = List.rev_map snd t.subs
 
 (* Re-arm subscriptions after {!Runtime.reopen}: replay the logged
-   subscription DDL (recovery meta, commit order).  The fresh runtime's DDL
-   log starts empty, so re-subscribing re-records each surviving
+   subscription DDL (recovery meta, commit order).  The fresh runtime's
+   catalog starts empty, so re-subscribing re-records each surviving
    subscription — the next checkpoint then carries them forward. *)
 let rearm t ~meta =
   let errors = ref [] in

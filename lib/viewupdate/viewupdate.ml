@@ -76,6 +76,15 @@ exception Rejected of diagnostic
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
+(* The value [tbl] holds under [key], computed by [f] on first use. *)
+let memo tbl key f =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = f () in
+    Hashtbl.add tbl key v;
+    v
+
 (* --- strategies --- *)
 
 type ambiguity = {
@@ -98,36 +107,6 @@ let strategy_to_string = function
   | First_candidate -> "first-candidate"
   | All_candidates -> "all-candidates"
   | Custom _ -> "custom"
-
-(* Keyed by runtime identity: a strategy registered for view "v" on one
-   runtime must not leak to a same-named view of another runtime in the
-   process.  The association list is pruned when a runtime's last strategy
-   is cleared, so it does not pin abandoned runtimes forever. *)
-let strategies : (Runtime.t * (string, strategy) Hashtbl.t) list ref = ref []
-
-let set_strategy rt ~view strat =
-  let tbl =
-    match List.assq_opt rt !strategies with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 8 in
-      strategies := (rt, tbl) :: !strategies;
-      tbl
-  in
-  Hashtbl.replace tbl view strat
-
-let clear_strategy rt ~view =
-  match List.assq_opt rt !strategies with
-  | None -> ()
-  | Some tbl ->
-    Hashtbl.remove tbl view;
-    if Hashtbl.length tbl = 0 then
-      strategies := List.filter (fun (rt', _) -> rt' != rt) !strategies
-
-let strategy_for rt ~view =
-  match List.assq_opt rt !strategies with
-  | None -> Reject_ambiguous
-  | Some tbl -> Option.value ~default:Reject_ambiguous (Hashtbl.find_opt tbl view)
 
 (* --- parsing --- *)
 
@@ -430,20 +409,6 @@ let eval_targets db (m : Compose.monitored) ~(where : Ast.expr option) =
 
 (* --- anchoring --- *)
 
-(* Lineage walks the level's whole op graph (the root op embeds every
-   descendant level), so deriving it per statement is the planner's largest
-   repeated cost.  Ops are immutable and ids process-unique, so the result
-   is memoized across statements. *)
-let lineage_memo : (int, (string * Lineage.source) list) Hashtbl.t = Hashtbl.create 16
-
-let lin_of (op : Op.t) =
-  match Hashtbl.find_opt lineage_memo op.Op.id with
-  | Some l -> l
-  | None ->
-    let l = Lineage.columns op in
-    Hashtbl.add lineage_memo op.Op.id l;
-    l
-
 type anchor =
   | Anchored of {
       table : string;
@@ -452,13 +417,59 @@ type anchor =
     }
   | Unanchored of { table : string option; schema : Schema.t option; reason : string }
 
+(* A probe asks whether a level has a row matching some key values (see
+   {!probe_for}). *)
+type probe = {
+  pr_rel : string;  (* the [Ra.Rel] binding name carrying the key values *)
+  pr_run : Ra_eval.ctx -> Ra_eval.rel;
+}
+
+(* The translator's per-runtime state, held by the runtime itself so that
+   it dies with the runtime: the compiled probes pin its database, and the
+   memos are keyed by the op ids of its views.  Each memo is pure in the
+   (immutable) level ops and the database's schemas. *)
+type state = {
+  strategies : (string, strategy) Hashtbl.t;
+      (* per view: a strategy set for view "v" on one runtime does not leak
+         to a same-named view of another *)
+  lineage : (int, (string * Lineage.source) list) Hashtbl.t;
+      (* lineage walks the level's whole op graph (the root op embeds every
+         descendant level): the planner's largest repeated cost *)
+  anchors : (int, anchor) Hashtbl.t;
+      (* consulted for the target level and every ancestor on each statement *)
+  constructors : (int, (int * Expr.t * Op.t) option) Hashtbl.t;
+  dependents : (int * string * (int * string) * string list, string list) Hashtbl.t;
+  shreds : (int, Pushdown.t option) Hashtbl.t;
+  filter_free : (int, bool) Hashtbl.t;
+  probes : (int * string list, probe) Hashtbl.t;  (* (level op id, key columns) *)
+}
+
+type Runtime.layer_state += State of state
+
+let state_of rt =
+  Runtime.layer_state rt
+    ~find:(function State s -> Some s | _ -> None)
+    ~create:(fun () ->
+      let t () = Hashtbl.create 16 in
+      State
+        { strategies = t (); lineage = t (); anchors = t (); constructors = t ();
+          dependents = t (); shreds = t (); filter_free = t (); probes = t () })
+
+let set_strategy rt ~view strat = Hashtbl.replace (state_of rt).strategies view strat
+let clear_strategy rt ~view = Hashtbl.remove (state_of rt).strategies view
+
+let strategy_for rt ~view =
+  Option.value ~default:Reject_ambiguous (Hashtbl.find_opt (state_of rt).strategies view)
+
+let lin_of st (op : Op.t) = memo st.lineage op.Op.id (fun () -> Lineage.columns op)
+
 (* A level is anchored to T when its key columns that copy T's columns cover
    T's primary key.  Several tables can qualify (correlation columns carry
    ancestor keys through joins); prefer the table carrying the most key
    columns, then the one whose key column appears last — the iterated
    (deepest) side of the level's joins. *)
-let anchor_of_level_uncached db (tree : Compile.view_tree) =
-  let lin = lin_of tree.Compile.op in
+let anchor_of_level_uncached st db (tree : Compile.view_tree) =
+  let lin = lin_of st tree.Compile.op in
   let keyed =
     List.filter_map (fun k -> Option.map (fun b -> (k, b)) (lineage_base lin k)) tree.Compile.key
   in
@@ -521,23 +532,8 @@ let anchor_of_level_uncached db (tree : Compile.view_tree) =
         pk_slots = List.map (fun c -> (c, List.assoc c carried)) schema.Schema.primary_key;
       }
 
-(* Anchoring is pure in the (immutable) level op and the database's schemas,
-   and the planner consults it for the target level and every ancestor on
-   each statement — memoize per (database, level op).  Entries are keyed by
-   database identity; stale databases' entries are shed on the next probe of
-   the same op. *)
-let anchor_memo : (int, (Database.t * anchor) list) Hashtbl.t = Hashtbl.create 16
-
-let anchor_of_level db (tree : Compile.view_tree) =
-  let id = tree.Compile.op.Op.id in
-  let entries = Option.value ~default:[] (Hashtbl.find_opt anchor_memo id) in
-  match List.assq_opt db entries with
-  | Some a -> a
-  | None ->
-    let a = anchor_of_level_uncached db tree in
-    Hashtbl.replace anchor_memo id
-      ((db, a) :: List.filter (fun (db', _) -> db' == db) entries);
-    a
+let anchor_of_level st db (tree : Compile.view_tree) =
+  memo st.anchors tree.Compile.op.Op.id (fun () -> anchor_of_level_uncached st db tree)
 
 (* Base rows of [table] matching the target tuple on every level column that
    copies one of [table]'s columns — the candidate rows of an ambiguous
@@ -679,9 +675,7 @@ let replace_changes db ~anchor lin (tree : Compile.view_tree)
    Returns the Project's id, the constructor expression, and the Project's
    input (the operator the constructor's column references are resolved
    against). *)
-let constructor_memo : (int, (int * Expr.t * Op.t) option) Hashtbl.t = Hashtbl.create 16
-
-let constructor_def (tree : Compile.view_tree) =
+let constructor_def st (tree : Compile.view_tree) =
   let rec find (op : Op.t) =
     match op.Op.node with
     | Op.Project { defs; input } -> (
@@ -692,24 +686,14 @@ let constructor_def (tree : Compile.view_tree) =
     | Op.Join { left; _ } -> find left
     | _ -> None
   in
-  let id = tree.Compile.op.Op.id in
-  match Hashtbl.find_opt constructor_memo id with
-  | Some r -> r
-  | None ->
-    let r = find tree.Compile.op in
-    Hashtbl.add constructor_memo id r;
-    r
+  memo st.constructors tree.Compile.op.Op.id (fun () -> find tree.Compile.op)
 
-let constructor_site (tree : Compile.view_tree) =
-  Option.map (fun (id, _, _) -> (id, tree.Compile.node_col)) (constructor_def tree)
+let constructor_site st (tree : Compile.view_tree) =
+  Option.map (fun (id, _, _) -> (id, tree.Compile.node_col)) (constructor_def st tree)
 
 (* [None] = statically safe; [Some sites] = inconclusive, listing the
    dependent graph sites (fall through to the dynamic check). *)
-let dependents_memo :
-    (int * string * (int * string) * string list, string list) Hashtbl.t =
-  Hashtbl.create 16
-
-let static_unsafe (view : Compile.view) (tree : Compile.view_tree) lin ~table ~cols =
+let static_unsafe st (view : Compile.view) (tree : Compile.view_tree) lin ~table ~cols =
   let key_base =
     List.filter_map
       (fun k ->
@@ -719,7 +703,7 @@ let static_unsafe (view : Compile.view) (tree : Compile.view_tree) lin ~table ~c
   if List.exists (fun c -> List.mem c key_base) cols then
     Some [ "the change touches the level's key columns (node identity / order)" ]
   else
-    match constructor_site tree with
+    match constructor_site st tree with
     | None -> Some [ "could not locate the level's element constructor" ]
     | Some exempt -> (
       (* the dependency scan re-derives lineage at every graph site, so it
@@ -730,15 +714,10 @@ let static_unsafe (view : Compile.view) (tree : Compile.view_tree) lin ~table ~c
       let key =
         (view.Compile.tree.Compile.op.Op.id, table, exempt, List.sort_uniq compare cols)
       in
-      let sites =
-        match Hashtbl.find_opt dependents_memo key with
-        | Some s -> s
-        | None ->
-          let s = Lineage.dependents ~table ~cols ~exempt view.Compile.tree.Compile.op in
-          Hashtbl.add dependents_memo key s;
-          s
-      in
-      match sites with
+      match
+        memo st.dependents key (fun () ->
+            Lineage.dependents ~table ~cols ~exempt view.Compile.tree.Compile.op)
+      with
       | [] -> None
       | sites -> Some sites)
 
@@ -1052,9 +1031,9 @@ let anchored_row db ~table ~pk_slots (get : string -> Value.t) =
 
 (* Shared: pick the base rows a target tuple maps to, via anchor or
    strategy-resolved candidates.  Returns (table, schema, rows, verdict). *)
-let rows_for_target db view strat stmt_text level_str tree lin
+let rows_for_target st db view strat stmt_text level_str tree lin
     (get : string -> Value.t) (get_opt : string -> Xval.t option) =
-  match anchor_of_level db tree with
+  match anchor_of_level st db tree with
   | Anchored { table; schema; pk_slots } ->
     (table, schema, [ anchored_row db ~table ~pk_slots get ],
      Printf.sprintf "anchored: level key pins one %s row by primary key" table)
@@ -1160,35 +1139,11 @@ let pred_constraints (pred : Ast.expr option) =
   in
   match pred with None -> None | Some e -> go e
 
-(* Shredding a level op is pure in the op (ops are immutable, ids are
-   process-unique), so the result is memoized across statements — the
-   fast path's visibility probes pay planner work once per view level. *)
-let shred_memo : (int, Pushdown.t option) Hashtbl.t = Hashtbl.create 16
-
-let shred_of (op : Op.t) =
-  match Hashtbl.find_opt shred_memo op.Op.id with
-  | Some r -> r
-  | None ->
-    let r = try Some (Pushdown.shred op) with Pushdown.Not_pushable _ -> None in
-    Hashtbl.add shred_memo op.Op.id r;
-    r
-
-(* A probe asks whether a level has a row matching some key values.  The
-   restricted plan is built and physically planned ONCE per (database,
-   level op, key column set) — {!Ra_opt.push_semijoin} over the shredded
-   scalar plan with the keys delivered through a [Ra.Rel] binding, the same
-   parameterized-semijoin trick the trigger path uses for fragment
-   restriction — so the per-statement cost is a few index accesses, not
-   plan construction.  (The memo holds the database of each entry to keep
-   compiled table handles honest; entries of abandoned runtimes are shed
-   when the op id is next probed.) *)
-type probe = {
-  pr_rel : string;  (* the [Ra.Rel] binding name carrying the key values *)
-  pr_run : Ra_eval.ctx -> Ra_eval.rel;
-}
-
-let probe_memo : (int, (Database.t * string list * probe) list) Hashtbl.t =
-  Hashtbl.create 16
+(* Memoized, so the fast path's visibility probes pay planner work once per
+   view level. *)
+let shred_of st (op : Op.t) =
+  memo st.shreds op.Op.id (fun () ->
+      try Some (Pushdown.shred op) with Pushdown.Not_pushable _ -> None)
 
 let probe_name =
   let n = ref 0 in
@@ -1196,43 +1151,44 @@ let probe_name =
     incr n;
     Printf.sprintf "vuprobe$%d" !n
 
-let probe_for db (tree : Compile.view_tree) kcols =
-  match shred_of tree.Compile.op with
+(* A probe asks whether a level has a row matching some key values.  The
+   restricted plan is built and physically planned ONCE per (database,
+   level op, key column set) — {!Ra_opt.push_semijoin} over the shredded
+   scalar plan with the keys delivered through a [Ra.Rel] binding, the same
+   parameterized-semijoin trick the trigger path uses for fragment
+   restriction — so the per-statement cost is a few index accesses, not
+   plan construction.  Memoized in the runtime's {!state}, whose database
+   the compiled plan reads. *)
+let probe_for st db (tree : Compile.view_tree) kcols =
+  match shred_of st tree.Compile.op with
   | None -> None
   | Some sh ->
     let plan_cols = Ra.columns sh.Pushdown.plan in
     if kcols = [] || not (List.for_all (fun c -> List.mem c plan_cols) kcols) then None
-    else begin
-      let id = tree.Compile.op.Op.id in
-      let entries = Option.value ~default:[] (Hashtbl.find_opt probe_memo id) in
-      match List.find_opt (fun (db', ks, _) -> db' == db && ks = kcols) entries with
-      | Some (_, _, p) -> Some p
-      | None ->
-        let name = probe_name () in
-        let plan =
-          Ra_opt.push_semijoin
-            ~keys:(Ra.Scan (Ra.Rel name, List.map (fun c -> (c, c)) kcols))
-            ~on:(List.map (fun c -> (c, c)) kcols)
-            sh.Pushdown.plan
-        in
-        let run =
-          match Ra_compile.compile db plan with
-          | exec -> fun ctx -> Ra_compile.exec exec ctx
-          | exception (Not_found | Invalid_argument _) ->
-            fun ctx -> Ra_eval.eval ctx plan
-        in
-        let p = { pr_rel = name; pr_run = run } in
-        let entries = List.filter (fun (db', _, _) -> db' == db) entries in
-        Hashtbl.replace probe_memo id ((db, kcols, p) :: entries);
-        Some p
-    end
+    else
+      Some
+        (memo st.probes (tree.Compile.op.Op.id, kcols) (fun () ->
+             let name = probe_name () in
+             let plan =
+               Ra_opt.push_semijoin
+                 ~keys:(Ra.Scan (Ra.Rel name, List.map (fun c -> (c, c)) kcols))
+                 ~on:(List.map (fun c -> (c, c)) kcols)
+                 sh.Pushdown.plan
+             in
+             let run =
+               match Ra_compile.compile db plan with
+               | exec -> fun ctx -> Ra_compile.exec exec ctx
+               | exception (Not_found | Invalid_argument _) ->
+                 fun ctx -> Ra_eval.eval ctx plan
+             in
+             { pr_rel = name; pr_run = run }))
 
 (* Does the level have a row matching [keys]?  [None] = cannot decide here
    (unshreddable op, or a key column missing from the scalar plan);
    [Some None] = no such row; [Some (Some (cols, row))] = the first
    matching row's scalar columns. *)
-let level_probe db (tree : Compile.view_tree) (keys : (string * Value.t) list) =
-  match probe_for db tree (List.map fst keys) with
+let level_probe st db (tree : Compile.view_tree) (keys : (string * Value.t) list) =
+  match probe_for st db tree (List.map fst keys) with
   | None -> None
   | Some p ->
     let krel =
@@ -1264,20 +1220,11 @@ let rec anchor_preserving ~table (plan : Ra.t) =
 
 (* Does the level relation trivially contain the rows of its anchor table
    (see {!anchor_preserving})?  Memoized per level op. *)
-let filter_free_memo : (int, bool) Hashtbl.t = Hashtbl.create 16
-
-let level_filter_free (tree : Compile.view_tree) ~table =
-  let id = tree.Compile.op.Op.id in
-  match Hashtbl.find_opt filter_free_memo id with
-  | Some b -> b
-  | None ->
-    let b =
-      match shred_of tree.Compile.op with
+let level_filter_free st (tree : Compile.view_tree) ~table =
+  memo st.filter_free tree.Compile.op.Op.id (fun () ->
+      match shred_of st tree.Compile.op with
       | None -> false
-      | Some sh -> anchor_preserving ~table sh.Pushdown.plan
-    in
-    Hashtbl.add filter_free_memo id b;
-    b
+      | Some sh -> anchor_preserving ~table sh.Pushdown.plan)
 
 (* Renders the level element for one base row straight from the level's
    constructor expression, mirroring {!Eval}'s [Elem] semantics (attribute
@@ -1319,11 +1266,11 @@ let render_node_of_row ~table ~schema lin row (elem : Expr.t) =
   in
   match go elem with Some (Xval.Node n) -> Some n | _ -> None
 
-let try_fast_replace db view tree pred xml text level_str =
-  match anchor_of_level db tree with
+let try_fast_replace st db view tree pred xml text level_str =
+  match anchor_of_level st db tree with
   | Unanchored _ -> None
   | Anchored { table; schema; pk_slots } -> (
-    let lin = lin_of tree.Compile.op in
+    let lin = lin_of st tree.Compile.op in
     let all_fields_anchored =
       List.for_all
         (fun (f, out) ->
@@ -1379,11 +1326,11 @@ let try_fast_replace db view tree pred xml text level_str =
              probes, not scans; an unshreddable level falls back to the
              generic path (Exit).  The row is known to exist, so a
              filter-free level needs no probe. *)
-          (if not (level_filter_free tree ~table) then
+          (if not (level_filter_free st tree ~table) then
              let probe_keys =
                List.map (fun (c, out) -> (out, row.(Schema.col_index schema c))) pk_slots
              in
-             match level_probe db tree probe_keys with
+             match level_probe st db tree probe_keys with
              | None -> raise Exit
              | Some None ->
                fail "no node matches the path (a level predicate excludes the node \
@@ -1392,11 +1339,11 @@ let try_fast_replace db view tree pred xml text level_str =
           (* the replacement must pass the same shape check as the generic
              path, against the node this row currently renders *)
           let old_node =
-            match constructor_def tree with
+            match constructor_def st tree with
             | None -> raise Exit
             | Some (_, elem, input) -> (
               match
-                render_node_of_row ~table ~schema (lin_of input) row elem
+                render_node_of_row ~table ~schema (lin_of st input) row elem
               with
               | Some n -> n
               | None -> raise Exit)
@@ -1420,7 +1367,7 @@ let try_fast_replace db view tree pred xml text level_str =
               }
           else
             match
-              static_unsafe view tree lin ~table
+              static_unsafe st view tree lin ~table
                 ~cols:(List.map (fun (c, _, _) -> c) changes)
             with
             | Some _ -> None (* fall back to the dynamic differential check *)
@@ -1439,14 +1386,14 @@ let try_fast_replace db view tree pred xml text level_str =
                   p_ops = [ Upd { table; pk = Schema.pk_of_row schema row; before = row; after } ];
                 })))
 
-let plan_replace db view strat path xml text =
+let plan_replace st db view strat path xml text =
   if path.Ast.steps = [] then fail "the document element cannot be replaced";
   let last = List.nth path.Ast.steps (List.length path.Ast.steps - 1) in
   let m = monitored_of view path in
   let tree = m.Compose.m_tree in
   let level_str = level_path view tree in
   match
-    try try_fast_replace db view tree last.Ast.predicate xml text level_str
+    try try_fast_replace st db view tree last.Ast.predicate xml text level_str
     with Exit -> None
   with
   | Some p -> p
@@ -1459,7 +1406,7 @@ let plan_replace db view strat path xml text =
         (List.length targets)
     | [ tgt ] ->
       check_replace_shape tree ~old_node:tgt.t_node xml;
-      let lin = lin_of tree.Compile.op in
+      let lin = lin_of st tree.Compile.op in
       let get_opt out = List.assoc_opt out tgt.t_row in
       let get out =
         match get_opt out with
@@ -1467,7 +1414,7 @@ let plan_replace db view strat path xml text =
         | None -> fail "level has no column %S" out
       in
       let table, schema, rows, how =
-        rows_for_target db view strat text level_str tree lin get get_opt
+        rows_for_target st db view strat text level_str tree lin get get_opt
       in
       let changes = replace_changes db ~anchor:table lin tree ~get xml in
       if changes = [] then
@@ -1493,7 +1440,7 @@ let plan_replace db view strat path xml text =
         in
         let cols = List.map (fun (c, _, _) -> c) changes in
         let verdict =
-          match static_unsafe view tree lin ~table ~cols with
+          match static_unsafe st view tree lin ~table ~cols with
           | None ->
             [ how;
               "statically safe: the changed columns feed only this node's constructor";
@@ -1542,14 +1489,14 @@ let plan_replace db view strat path xml text =
 
 (* -- DELETE -- *)
 
-let plan_delete db view strat path where text =
+let plan_delete st db view strat path where text =
   if path.Ast.steps = [] then fail "the document element cannot be deleted";
   let m = monitored_of view path in
   let tree = m.Compose.m_tree in
   let level_str = level_path view tree in
   let targets = eval_targets db m ~where in
   if targets = [] then fail "no node matches %s" (Ast.path_to_string path);
-  let lin = lin_of tree.Compile.op in
+  let lin = lin_of st tree.Compile.op in
   let anchor_desc = ref "" in
   let verdicts = ref [] in
   let ops =
@@ -1562,7 +1509,7 @@ let plan_delete db view strat path where text =
           | None -> fail "level has no column %S" out
         in
         let table, _, rows, how =
-          rows_for_target db view strat text level_str tree lin get get_opt
+          rows_for_target st db view strat text level_str tree lin get get_opt
         in
         anchor_desc := table;
         if not (List.mem how !verdicts) then verdicts := how :: !verdicts;
@@ -1599,7 +1546,7 @@ let plan_delete db view strat path where text =
 
 (* -- INSERT -- *)
 
-let plan_insert db view strat into xml text =
+let plan_insert st db view strat into xml text =
   let m = monitored_of view into in
   let ptree = m.Compose.m_tree in
   let parents = eval_targets db m ~where:None in
@@ -1624,7 +1571,7 @@ let plan_insert db view strat into xml text =
   in
   let level_str = level_path view tree in
   check_insert_shape tree xml;
-  let lin = lin_of tree.Compile.op in
+  let lin = lin_of st tree.Compile.op in
   let build_row table schema =
     let row = Array.make (Schema.arity schema) Value.Null in
     let setc c v =
@@ -1695,7 +1642,7 @@ let plan_insert db view strat into xml text =
     row
   in
   let table, schema, rows, how =
-    match anchor_of_level db tree with
+    match anchor_of_level st db tree with
     | Anchored { table; schema; _ } ->
       (table, schema, [ build_row table schema ],
        Printf.sprintf "anchored: the new node becomes one %s row" table)
@@ -1754,7 +1701,7 @@ let plan_insert db view strat into xml text =
         let found =
           List.find_opt
             (fun frow ->
-              match anchor_of_level db tree with
+              match anchor_of_level st db tree with
               | Anchored { pk_slots; _ } ->
                 List.for_all2
                   (fun (_, out) v ->
@@ -1823,12 +1770,12 @@ let plan rt ?strategy text =
     | Some v -> v
     | None -> fail "unknown view %S" vname
   in
-  let db = Runtime.database rt in
+  let db = Runtime.database rt and st = state_of rt in
   let strat = match strategy with Some s -> s | None -> strategy_for rt ~view:vname in
   match stmt with
-  | Replace_node { path; xml } -> plan_replace db view strat path xml (String.trim text)
-  | Delete_node { path; where } -> plan_delete db view strat path where (String.trim text)
-  | Insert_node { xml; into } -> plan_insert db view strat into xml (String.trim text)
+  | Replace_node { path; xml } -> plan_replace st db view strat path xml (String.trim text)
+  | Delete_node { path; where } -> plan_delete st db view strat path where (String.trim text)
+  | Insert_node { xml; into } -> plan_insert st db view strat into xml (String.trim text)
 
 let execute rt ?strategy text =
   let p = plan rt ?strategy text in
@@ -1837,92 +1784,89 @@ let execute rt ?strategy text =
   | ops ->
     let db = Runtime.database rt in
     let name = Printf.sprintf "vdml%d" (Database.statement_count db + 1) in
-    (* provenance meta record: recovery sees which view-DML statement the
-       WAL's base statements were translated from; the immediate drop record
-       compacts the pair away at the next checkpoint *)
-    Runtime.record_custom_ddl rt ~kind:"viewdml" ~name ~payload:p.p_text;
-    Fun.protect
-      ~finally:(fun () -> Runtime.record_custom_ddl rt ~kind:"drop_viewdml" ~name ~payload:"")
-      (fun () ->
-        Database.with_statement_origin db p.p_text (fun () ->
-            (* The plan was verified as one atomic unit, so it must not be
-               left half-applied: each op re-validates its plan-time before
-               image (a trigger may have written the row since planning),
-               and any failure — validation, an FK rejection, a trigger
-               raising — compensates the already-applied ops in reverse,
-               through the Database path so the rollback also lands in the
-               WAL and fires triggers symmetrically. *)
-            let rows_equal a b =
-              Array.length a = Array.length b
-              && Array.for_all2 Value.equal a b
-            in
-            let check_before table pk expect =
+    (* provenance: recovery sees which view-DML statement the WAL's base
+       statements were translated from.  WAL only — no catalog entry, so the
+       next checkpoint leaves it behind *)
+    Runtime.log_meta rt ~kind:"viewdml" ~name ~payload:p.p_text;
+    Database.with_statement_origin db p.p_text (fun () ->
+        (* The plan was verified as one atomic unit, so it must not be
+           left half-applied: each op re-validates its plan-time before
+           image (a trigger may have written the row since planning),
+           and any failure — validation, an FK rejection, a trigger
+           raising — compensates the already-applied ops in reverse,
+           through the Database path so the rollback also lands in the
+           WAL and fires triggers symmetrically. *)
+        let rows_equal a b =
+          Array.length a = Array.length b
+          && Array.for_all2 Value.equal a b
+        in
+        let check_before table pk expect =
+          match Table.find_pk (Database.get_table db table) pk with
+          | None -> fail "row of %s vanished during execution" table
+          | Some cur ->
+            if not (rows_equal cur expect) then
+              fail "a row of %s changed between planning and execution (a trigger \
+                    wrote it); the view update is aborted"
+                table
+        in
+        let apply op =
+          match op with
+          | Ins { table; row } -> Database.insert_rows db ~table [ row ]
+          | Upd { table; pk; before; after } ->
+            check_before table pk before;
+            if not (Database.update_pk db ~table ~pk ~set:(fun _ -> after)) then
+              fail "row of %s vanished during execution" table
+          | Del { table; pk; row } ->
+            check_before table pk row;
+            ignore (Database.delete_pk db ~table ~pk)
+        in
+        (* An exception can escape mid-write (a trigger raising after
+           the row landed), so the op being applied when the failure hit
+           is compensated too — undo inspects the current state to tell
+           whether the write actually took effect. *)
+        let undo op =
+          match op with
+          | Ins { table; row } ->
+            let schema = Table.schema (Database.get_table db table) in
+            ignore (Database.delete_pk db ~table ~pk:(Schema.pk_of_row schema row))
+          | Upd { table; pk; before; after } ->
+            let schema = Table.schema (Database.get_table db table) in
+            (* key by the after image: the update may have changed PK
+               columns; falls back to the before key when the write
+               never landed *)
+            let apk = Schema.pk_of_row schema after in
+            if
+              not (Database.update_pk db ~table ~pk:apk ~set:(fun _ -> before))
+            then (
               match Table.find_pk (Database.get_table db table) pk with
-              | None -> fail "row of %s vanished during execution" table
-              | Some cur ->
-                if not (rows_equal cur expect) then
-                  fail "a row of %s changed between planning and execution (a trigger \
-                        wrote it); the view update is aborted"
-                    table
-            in
-            let apply op =
-              match op with
-              | Ins { table; row } -> Database.insert_rows db ~table [ row ]
-              | Upd { table; pk; before; after } ->
-                check_before table pk before;
-                if not (Database.update_pk db ~table ~pk ~set:(fun _ -> after)) then
-                  fail "row of %s vanished during execution" table
-              | Del { table; pk; row } ->
-                check_before table pk row;
-                ignore (Database.delete_pk db ~table ~pk)
-            in
-            (* An exception can escape mid-write (a trigger raising after
-               the row landed), so the op being applied when the failure hit
-               is compensated too — undo inspects the current state to tell
-               whether the write actually took effect. *)
-            let undo op =
-              match op with
-              | Ins { table; row } ->
-                let schema = Table.schema (Database.get_table db table) in
-                ignore (Database.delete_pk db ~table ~pk:(Schema.pk_of_row schema row))
-              | Upd { table; pk; before; after } ->
-                let schema = Table.schema (Database.get_table db table) in
-                (* key by the after image: the update may have changed PK
-                   columns; falls back to the before key when the write
-                   never landed *)
-                let apk = Schema.pk_of_row schema after in
-                if
-                  not (Database.update_pk db ~table ~pk:apk ~set:(fun _ -> before))
-                then (
-                  match Table.find_pk (Database.get_table db table) pk with
-                  | Some cur when rows_equal cur before -> ()
-                  | _ -> fail "cannot restore a row of %s" table)
-              | Del { table; pk; row } -> (
-                match Table.find_pk (Database.get_table db table) pk with
-                | Some _ -> () (* the delete never landed *)
-                | None -> Database.insert_rows db ~table [ row ])
-            in
-            let applied = ref [] in
-            try
-              List.iter
-                (fun op ->
-                  applied := op :: !applied;
-                  apply op)
-                ops
-            with exn ->
-              let bt = Printexc.get_raw_backtrace () in
-              let failures = ref [] in
-              List.iter
-                (fun op ->
-                  try undo op with e -> failures := Printexc.to_string e :: !failures)
-                !applied;
-              (match !failures with
-              | [] -> ()
-              | fs ->
-                fail "view update failed (%s) and compensation also failed (%s); the \
-                      database may hold a partial translation"
-                  (Printexc.to_string exn) (String.concat "; " fs));
-              Printexc.raise_with_backtrace exn bt));
+              | Some cur when rows_equal cur before -> ()
+              | _ -> fail "cannot restore a row of %s" table)
+          | Del { table; pk; row } -> (
+            match Table.find_pk (Database.get_table db table) pk with
+            | Some _ -> () (* the delete never landed *)
+            | None -> Database.insert_rows db ~table [ row ])
+        in
+        let applied = ref [] in
+        try
+          List.iter
+            (fun op ->
+              applied := op :: !applied;
+              apply op)
+            ops
+        with exn ->
+          let bt = Printexc.get_raw_backtrace () in
+          let failures = ref [] in
+          List.iter
+            (fun op ->
+              try undo op with e -> failures := Printexc.to_string e :: !failures)
+            !applied;
+          (match !failures with
+          | [] -> ()
+          | fs ->
+            fail "view update failed (%s) and compensation also failed (%s); the \
+                  database may hold a partial translation"
+              (Printexc.to_string exn) (String.concat "; " fs));
+          Printexc.raise_with_backtrace exn bt);
     p
 
 let explain rt text =

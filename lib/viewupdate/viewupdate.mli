@@ -106,8 +106,9 @@ type strategy =
 val strategy_to_string : strategy -> string
 
 (** Per-runtime, per-view strategy registry; {!execute}'s [?strategy]
-    overrides it.  Keyed by runtime identity so a strategy set for a view on
-    one runtime never applies to a same-named view of another. *)
+    overrides it.  Held by the runtime itself, so a strategy set for a view
+    on one runtime never applies to a same-named view of another and is
+    freed with its runtime. *)
 val set_strategy : Trigview.Runtime.t -> view:string -> strategy -> unit
 
 val clear_strategy : Trigview.Runtime.t -> view:string -> unit
@@ -124,8 +125,10 @@ val plan : Trigview.Runtime.t -> ?strategy:strategy -> string -> plan
 
 (** Plans and executes the translation through the normal [Database] path
     (statement ids, triggers, audit, WAL), with
-    {!Relkit.Database.statement_origin} set to the view-DML text and a
-    ["viewdml"] meta record logged for recovery provenance.
+    {!Relkit.Database.statement_origin} set to the view-DML text.  With
+    durability attached, one ["viewdml"] meta record naming the statement
+    goes to the WAL as recovery provenance; it is no catalog entry, so
+    the next checkpoint leaves it behind, and nothing is kept in memory.
     @raise Error / Rejected; the database is untouched in that case. *)
 val execute : Trigview.Runtime.t -> ?strategy:strategy -> string -> plan
 

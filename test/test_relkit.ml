@@ -219,6 +219,57 @@ let test_db_failed_batch_is_atomic () =
   Database.insert_rows db ~table:"vendor" [ fresh ];
   Alcotest.(check int) "the valid row still inserts" (rows0 + 1) (Table.row_count vendor)
 
+(* An UPDATE that moves a row onto a key held outside the victim set, or
+   onto a missing parent, is rejected before anything is mutated; keys may
+   still move among the victims themselves. *)
+let test_db_failed_update_is_atomic () =
+  let db = mk_db () in
+  let changes = ref 0 and fired = ref 0 in
+  Database.attach_durability db (fun _ -> incr changes);
+  Database.create_trigger db
+    { Database.trig_name = "t";
+      trig_table = "vendor";
+      trig_event = Database.Update;
+      relevance = None;
+      sql_text = "(test)";
+      body = (fun _ -> incr fired);
+    };
+  let vendor = Database.get_table db "vendor" in
+  let rows0 = Table.to_rows vendor and version0 = Table.version vendor in
+  let rejected label stmt =
+    match Sql.exec db stmt with
+    | _ -> Alcotest.failf "%s: accepted" label
+    | exception Sql.Error _ ->
+      Alcotest.(check int) (label ^ ": 7 vendor rows") 7 (Table.row_count vendor);
+      Alcotest.(check bool) (label ^ ": rows unchanged") true (Table.to_rows vendor = rows0);
+      Alcotest.(check int) (label ^ ": version unchanged") version0 (Table.version vendor);
+      Alcotest.(check int) (label ^ ": no change hook") 0 !changes;
+      Alcotest.(check int) (label ^ ": no trigger") 0 !fired
+  in
+  rejected "key taken" "UPDATE vendor SET pid = 'P2' WHERE vid = 'Bestbuy' AND pid = 'P3'";
+  rejected "two rows onto one key" "UPDATE vendor SET pid = 'P1' WHERE vid = 'Bestbuy'";
+  rejected "missing parent" "UPDATE vendor SET pid = 'P9' WHERE vid = 'Amazon'";
+  (* Bestbuy's P1 and P2 rows swap keys *)
+  let swap r =
+    let pid = if Value.equal r.(1) (v_str "P1") then "P2" else "P1" in
+    [| r.(0); v_str pid; r.(2) |]
+  in
+  let n =
+    Database.update_rows db ~table:"vendor"
+      ~where:(fun r ->
+        Value.equal r.(0) (v_str "Bestbuy")
+        && (Value.equal r.(1) (v_str "P1") || Value.equal r.(1) (v_str "P2")))
+      ~set:swap
+  in
+  Alcotest.(check int) "swap: two rows updated" 2 n;
+  Alcotest.(check int) "swap: 7 vendor rows" 7 (Table.row_count vendor);
+  Alcotest.(check (option (float 0.0))) "swap: P2's price moved to P1" (Some 180.0)
+    (Option.map
+       (fun r -> match r.(2) with Value.Float f -> f | _ -> nan)
+       (Table.find_pk vendor [ v_str "Bestbuy"; v_str "P1" ]));
+  Alcotest.(check int) "swap: one change record" 1 !changes;
+  Alcotest.(check int) "swap: one firing" 1 !fired
+
 let test_db_update_fires_trigger_with_transitions () =
   let db = mk_db () in
   let seen = ref None in
@@ -728,6 +779,7 @@ let () =
           Alcotest.test_case "recursion cap" `Quick test_db_trigger_recursion_cap;
           Alcotest.test_case "load skips triggers" `Quick test_db_load_rows_skips_triggers;
           Alcotest.test_case "failed batch is atomic" `Quick test_db_failed_batch_is_atomic;
+          Alcotest.test_case "failed update is atomic" `Quick test_db_failed_update_is_atomic;
         ] );
       ( "ra_eval",
         [ Alcotest.test_case "scan/select/project" `Quick test_ra_scan_select_project;
